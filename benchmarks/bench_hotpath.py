@@ -1,28 +1,21 @@
-"""Hot-path microbenchmark: scalar vs vectorized vs struct-of-arrays.
+"""Hot-path microbenchmark: the broadcast reception path, gated on an oracle.
 
 Broadcast floods dominate E4/E8/E9 sweeps, and each flood frame fans out
 to every neighbor of the sender — reception delivery is where simulation
-time goes.  This benchmark floods a dense uniform field through the
-three execution strategies kept by :class:`~repro.world.WorldConfig`:
+time goes.  This benchmark floods a dense uniform field through the one
+production path (the :class:`~repro.sim.state.NodeStateStore` columns
+plus batched delivery draining) and reports receptions/s.
 
-* ``object-scalar`` — per-object node state, pre-refactor scalar
-  fan-out reference loop (``vectorized=False``);
-* ``object-vec`` — per-object node state, NumPy-batched fan-out math
-  (PR 2's path, ``soa=False``);
-* ``soa`` — the :class:`~repro.sim.state.NodeStateStore` columns plus
-  batched delivery draining (the default).
-
-All three are draw-order stable, so their simulations are bit-identical;
-the benchmark asserts that digest (same event count, same frame counts,
-same reception totals) before reporting timings, making it a correctness
-gate as well as a timer.  Run standalone for JSON output::
+Before reporting it runs the same flood once, untimed and under the
+conservation audit, on the per-receiver oracle channel in
+``tests/oracle.py`` and asserts the two runs share a digest (same event
+count, frames, receptions and delivered datums), so the benchmark is a
+correctness gate as well as a timer.  It also exits non-zero on a
+degenerate workload: no datum delivered, or a failed conservation
+audit.  Run standalone for JSON output::
 
     PYTHONPATH=src python benchmarks/bench_hotpath.py --nodes 500 \
-        --json BENCH_hotpath.json
-
-The CI smoke job runs a small config with ``--min-speedup`` (vectorized
-vs scalar) and ``--min-soa-speedup`` (SoA vs scalar) so a regression
-that loses the batched paths' advantage fails loudly.
+        --repeat 3 --json BENCH_hotpath.json
 """
 
 from __future__ import annotations
@@ -32,25 +25,22 @@ import json
 import math
 import sys
 import time
+from pathlib import Path
 
-from repro.core.base import ProtocolConfig
-from repro.core.spr import SPR
-from repro.world import WorldBuilder, WorldConfig
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
+from repro.core.base import ProtocolConfig  # noqa: E402
+from repro.core.spr import SPR  # noqa: E402
+from repro.world import WorldBuilder  # noqa: E402
+from tests.oracle import oracle_world  # noqa: E402
 
 #: target mean node degree of the benchmark field — dense enough that
 #: fan-out dominates, sparse enough that floods terminate quickly.
 _TARGET_DEGREE = 20.0
 _COMM_RANGE = 40.0
 
-#: label -> execution configuration of each benchmark leg.
-LEGS = {
-    "object-scalar": WorldConfig(vectorized=False, soa=False),
-    "object-vec": WorldConfig(soa=False),
-    "soa": WorldConfig(),
-}
-
-#: counters every leg must agree on (the bit-identity digest).
-_DIGEST_KEYS = ("events_processed", "frames_sent", "receptions")
+#: counters the timed run and the oracle run must agree on.
+_DIGEST_KEYS = ("events_processed", "frames_sent", "receptions", "delivered")
 
 
 def _field_size(n_nodes: int) -> float:
@@ -58,19 +48,24 @@ def _field_size(n_nodes: int) -> float:
     return math.sqrt(n_nodes * math.pi * _COMM_RANGE**2 / _TARGET_DEGREE)
 
 
-def run_flood(n_nodes: int, floods: int, config: WorldConfig, seed: int = 0) -> dict:
-    """Flood the field ``floods`` times and time the simulation run."""
+def run_flood(n_nodes: int, floods: int, seed: int = 0, oracle: bool = False) -> dict:
+    """Flood the field ``floods`` times and time the simulation run.
+
+    ``oracle`` builds the world on the oracle channel with the
+    conservation ledger attached; the production run has auditing off
+    so the timing covers the simulation alone.
+    """
     field = _field_size(n_nodes)
-    world = (
+    builder = (
         WorldBuilder()
         .seed(seed)
         .uniform_sensors(n_nodes, field_size=field, topology_seed=seed)
         .gateways([[field / 2.0, field / 2.0]])
         .comm_range(_COMM_RANGE)
         .ideal_radio()
-        .configure(config)
-        .build()
+        .audit(oracle)
     )
+    world = oracle_world(builder) if oracle else builder.build()
     # Table answering off: every discovery floods the whole field instead
     # of being answered one hop out, which is the fan-out stress we want.
     spr = world.attach(SPR, ProtocolConfig(table_answering=False))
@@ -84,45 +79,51 @@ def run_flood(n_nodes: int, floods: int, config: WorldConfig, seed: int = 0) -> 
 
     m = world.metrics
     receptions = int(sum(m.received.values()))
-    return {
+    result = {
         "nodes": n_nodes,
         "floods": floods,
         "wall_clock_s": wall,
         "events_processed": world.events_processed,
-        "events_per_sec": world.events_processed / wall,
         "frames_sent": int(sum(m.sent.values())),
         "receptions": receptions,
-        "fanout_per_sec": receptions / wall,
+        "delivered": len(m.unique_deliveries()),
+        "receptions_per_s": receptions / wall,
     }
+    if oracle:
+        result["conserved"] = world.conservation_report(strict=True).ok
+    return result
 
 
 def run_benchmark(n_nodes: int, floods: int, seed: int = 0, repeat: int = 1) -> dict:
-    """Time every leg (best of ``repeat``) and gate on the shared digest."""
-    results: dict[str, dict] = {}
-    for label, config in LEGS.items():
-        runs = [run_flood(n_nodes, floods, config, seed=seed) for _ in range(repeat)]
-        results[label] = min(runs, key=lambda r: r["wall_clock_s"])
-
-    # Bit-identity digest: every execution path simulated the same thing.
-    reference = results["object-scalar"]
-    for label, result in results.items():
-        for key in _DIGEST_KEYS:
-            if result[key] != reference[key]:
-                raise AssertionError(
-                    f"execution paths diverged on {key}: "
-                    f"object-scalar={reference[key]} {label}={result[key]}"
-                )
-
-    scalar_wall = reference["wall_clock_s"]
+    """Time the production path (best of ``repeat``) and gate on the oracle."""
+    runs = [run_flood(n_nodes, floods, seed=seed) for _ in range(repeat)]
+    best = min(runs, key=lambda r: r["wall_clock_s"])
+    oracle = run_flood(n_nodes, floods, seed=seed, oracle=True)
+    for key in _DIGEST_KEYS:
+        if best[key] != oracle[key]:
+            raise AssertionError(
+                f"production diverged from the oracle on {key}: "
+                f"oracle={oracle[key]} production={best[key]}"
+            )
     return {
         "config": {"nodes": n_nodes, "floods": floods, "seed": seed,
                    "repeat": repeat, "comm_range": _COMM_RANGE,
                    "field_size": _field_size(n_nodes)},
-        "legs": results,
-        "digest": {key: reference[key] for key in _DIGEST_KEYS},
-        "speedup": scalar_wall / results["object-vec"]["wall_clock_s"],
-        "soa_speedup": scalar_wall / results["soa"]["wall_clock_s"],
+        "legs": {"production": best},
+        "digest": {key: oracle[key] for key in _DIGEST_KEYS},
+        "conserved": oracle["conserved"],
+        "receptions_per_s": best["receptions_per_s"],
     }
+
+
+def degenerate(report: dict) -> list[str]:
+    """Why the measured workload does not exercise the path (empty if it does)."""
+    reasons = []
+    if report["digest"]["delivered"] == 0:
+        reasons.append("no datum was delivered")
+    if not report["conserved"]:
+        reasons.append("the conservation audit failed")
+    return reasons
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -131,15 +132,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--floods", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--repeat", type=int, default=1,
-                        help="run each leg this many times, keep the fastest")
+                        help="time the production run this many times, keep the fastest")
     parser.add_argument("--json", default=None, metavar="PATH",
                         help="write the JSON report here ('-' for stdout)")
-    parser.add_argument("--min-speedup", type=float, default=None,
-                        help="exit non-zero when the object-vec vs "
-                             "object-scalar speedup falls below this")
-    parser.add_argument("--min-soa-speedup", type=float, default=None,
-                        help="exit non-zero when the soa vs object-scalar "
-                             "speedup falls below this")
     args = parser.parse_args(argv)
 
     report = run_benchmark(args.nodes, args.floods, seed=args.seed,
@@ -151,26 +146,18 @@ def main(argv: list[str] | None = None) -> int:
         if args.json:
             with open(args.json, "w") as fh:
                 fh.write(blob + "\n")
+        digest = report["digest"]
+        leg = report["legs"]["production"]
         print(f"nodes={args.nodes} floods={args.floods} "
-              f"events={report['digest']['events_processed']}")
-        for label, r in report["legs"].items():
-            print(f"{label + ':':14s} {r['wall_clock_s']:.3f}s  "
-                  f"{r['events_per_sec']:,.0f} ev/s  "
-                  f"{r['fanout_per_sec']:,.0f} rx/s")
-        print(f"speedup:       vec {report['speedup']:.2f}x   "
-              f"soa {report['soa_speedup']:.2f}x")
+              f"events={digest['events_processed']} frames={digest['frames_sent']} "
+              f"receptions={digest['receptions']} delivered={digest['delivered']}")
+        print(f"production: {leg['wall_clock_s']:.3f}s  "
+              f"{leg['receptions_per_s']:,.0f} rx/s  (digest equals the oracle's)")
 
-    status = 0
-    if args.min_speedup is not None and report["speedup"] < args.min_speedup:
-        print(f"FAIL: object-vec speedup {report['speedup']:.2f}x < required "
-              f"{args.min_speedup:.2f}x", file=sys.stderr)
-        status = 1
-    if (args.min_soa_speedup is not None
-            and report["soa_speedup"] < args.min_soa_speedup):
-        print(f"FAIL: soa speedup {report['soa_speedup']:.2f}x < required "
-              f"{args.min_soa_speedup:.2f}x", file=sys.stderr)
-        status = 1
-    return status
+    reasons = degenerate(report)
+    for reason in reasons:
+        print(f"FAIL: degenerate workload: {reason}", file=sys.stderr)
+    return 1 if reasons else 0
 
 
 if __name__ == "__main__":

@@ -15,6 +15,10 @@ worker counts — and checks two things at once:
   container is not mistaken for a regression.  The CI job on a
   multi-core runner gates with ``--min-speedup``.
 
+It exits non-zero on a degenerate workload — a flood or MLR workload
+that delivers no datum, or any leg that fails the conservation audit —
+since such a run times nothing the experiments measure.
+
 Refresh the committed record (20k sensors, the E6 configuration)::
 
     PYTHONPATH=src python benchmarks/bench_shard.py --sensors 20000
@@ -72,6 +76,25 @@ def _timed_legs(
     return want, baseline_metrics
 
 
+def _delivered(metrics) -> int:
+    """Distinct datums delivered at least once."""
+    return len({(r.origin, r.uid) for r in metrics.deliveries})
+
+
+def degenerate(report: dict) -> list[str]:
+    """Why the measured workloads exercise nothing (empty if they do)."""
+    reasons = []
+    if report["digest"]["delivered"] == 0:
+        reasons.append("the flood workload delivered no datum")
+    if report["digest"]["mlr_delivered"] == 0:
+        reasons.append("the MLR workload delivered no datum")
+    reasons.extend(
+        f"leg {label} failed the conservation audit"
+        for label, leg in report["legs"].items() if not leg["conserved"]
+    )
+    return reasons
+
+
 def run_benchmark(
     sensors: int,
     floods: int,
@@ -93,7 +116,7 @@ def run_benchmark(
         mlr_sensors, mlr_datums, mlr_ttl, density=_DENSITY,
         comm_range=_COMM_RANGE, seed=seed, audit=True,
     )
-    mlr_want, _ = _timed_legs(mlr_workload, workers, legs, prefix="mlr-")
+    mlr_want, m_mlr = _timed_legs(mlr_workload, workers, legs, prefix="mlr-")
     base = legs[f"workers-{workers[0]}"]["wall_clock_s"]
     peak = legs[f"workers-{max(workers)}"]["wall_clock_s"]
 
@@ -141,8 +164,10 @@ def run_benchmark(
         digest={"run_digest": want,
                 "mlr_run_digest": mlr_want,
                 "data_generated": m_first.data_generated,
-                "delivered": len({(r.origin, r.uid) for r in m_first.deliveries}),
-                "bytes_sent": m_first.bytes_sent},
+                "delivered": _delivered(m_first),
+                "bytes_sent": m_first.bytes_sent,
+                "mlr_data_generated": m_mlr.data_generated,
+                "mlr_delivered": _delivered(m_mlr)},
         speedup=base / peak,
         **extra,
     )
@@ -152,7 +177,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sensors", type=int, default=20000)
     parser.add_argument("--floods", type=int, default=8)
-    parser.add_argument("--ttl", type=int, default=6,
+    parser.add_argument("--ttl", type=int, default=10,
                         help="flood TTL (bounds per-datum reach)")
     parser.add_argument("--workers", default="1,2,4",
                         help="comma-separated worker counts (first is baseline)")
@@ -194,26 +219,33 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{label:<12} {leg['wall_clock_s']:.3f}s  "
                   f"{leg['events_per_sec']:,.0f} ev/s  "
                   f"windows={leg['windows']}")
-        print(f"digest:      {report['digest']['run_digest'][:16]}… (all legs equal)")
-        print(f"mlr digest:  {report['digest']['mlr_run_digest'][:16]}… (all legs equal)")
+        digest = report["digest"]
+        print(f"digest:      {digest['run_digest'][:16]}… (all legs equal), "
+              f"delivered {digest['delivered']}/{digest['data_generated']}")
+        print(f"mlr digest:  {digest['mlr_run_digest'][:16]}… (all legs equal), "
+              f"delivered {digest['mlr_delivered']}/{digest['mlr_data_generated']}")
         print(f"speedup:     {report['speedup']:.2f}x")
         if "checkpoint_overhead" in report:
             print(f"ckpt ovh:    {report['checkpoint_overhead']:.3f}x "
                   f"(every {args.checkpoint_every} windows)")
         print(f"record:      {written}")
 
+    status = 0
+    for reason in degenerate(report):
+        print(f"FAIL: degenerate workload: {reason}", file=sys.stderr)
+        status = 1
     if args.min_speedup is not None and report["speedup"] < args.min_speedup:
         print(f"FAIL: speedup {report['speedup']:.2f}x < required "
               f"{args.min_speedup:.2f}x", file=sys.stderr)
-        return 1
+        status = 1
     if (
         args.max_checkpoint_overhead is not None
         and report["checkpoint_overhead"] > args.max_checkpoint_overhead
     ):
         print(f"FAIL: checkpoint overhead {report['checkpoint_overhead']:.3f}x > "
               f"allowed {args.max_checkpoint_overhead:.3f}x", file=sys.stderr)
-        return 1
-    return 0
+        status = 1
+    return status
 
 
 if __name__ == "__main__":

@@ -48,7 +48,7 @@ from repro.core import (
 )
 from repro.mesh import ThreeTierWMSN
 
-__version__ = "1.4.0"
+__version__ = "1.5.0"
 
 # The registry and runner import experiment drivers which import the
 # substrate above, and the runner reads ``__version__`` for cache keys,

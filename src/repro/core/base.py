@@ -72,14 +72,11 @@ class DiscoveryProtocol(ProtocolPolicy, FloodDiscoveryEngine, DataPlaneForwarder
         self.tables: dict[int, RoutingTable] = {
             n.node_id: RoutingTable(n.node_id) for n in network.nodes
         }
-        #: the network's struct-of-arrays core, when it has one — route
-        #: and queue-depth columns mirror protocol state through it
-        self._store = getattr(network, "store", None)
-        if self._store is not None:
-            for node_id, table in self.tables.items():
-                table.on_change = functools.partial(
-                    self._sync_route_column, node_id, table
-                )
+        #: the network's struct-of-arrays node state — route and
+        #: queue-depth columns mirror protocol state through it
+        self._store = network.store
+        for node_id, table in self.tables.items():
+            table.on_change = functools.partial(self._sync_route_column, node_id, table)
         self._seen_floods: dict[int, set[tuple[int, int]]] = {n.node_id: set() for n in network.nodes}
         self._pending_data: dict[int, list[dict[str, Any]]] = {}
         self._discovery: dict[int, _DiscoveryState] = {}
@@ -118,13 +115,12 @@ class DiscoveryProtocol(ProtocolPolicy, FloodDiscoveryEngine, DataPlaneForwarder
     def _queue_pending(self, node_id: int, payload: dict) -> None:
         """Park a datum awaiting a route, mirroring the queue-depth column."""
         self._pending_data.setdefault(node_id, []).append(payload)
-        if self._store is not None:
-            self._store.note_queued(node_id, 1)
+        self._store.note_queued(node_id, 1)
 
     def _take_pending(self, node_id: int) -> list:
         """Drain and return ``node_id``'s parked data (possibly empty)."""
         pending = self._pending_data.pop(node_id, [])
-        if pending and self._store is not None:
+        if pending:
             self._store.note_queued(node_id, -len(pending))
         return pending
 

@@ -149,8 +149,9 @@ class FloodDiscoveryEngine:
            in-progress discovery died with it — queued datums would
            otherwise sit stuck until the strict audit flags them).
 
-        Called by the fault injector after :meth:`~repro.sim.node.Node.
-        recover` reports the node actually came back alive; never for
+        Called by the fault injector after
+        :meth:`~repro.sim.state.NodeView.recover` reports the node
+        actually came back alive; never for
         battery-dead nodes.
         """
         self.tables[node_id].clear()

@@ -24,7 +24,7 @@ Usage::
     ...run a round of traffic (senders are woken automatically by wake())
     scheduler.apply_epoch()     # rotate
 
-Sleeping nodes neither transmit nor receive (``Node.alive`` is False); a
+Sleeping nodes neither transmit nor receive (``NodeView.alive`` is False); a
 node with data of its own is woken by :meth:`SleepScheduler.wake_to_send`
 and resumes sleeping at the next epoch boundary.
 """

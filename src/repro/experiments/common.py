@@ -121,7 +121,7 @@ def make_uniform_scenario(
     """Uniform random deployment with explicit gateway positions.
 
     ``world`` carries the execution configuration — audit ledger,
-    spatial index, SoA/vectorized paths, fault plan, shards — as one
+    fault plan, shards — as one
     :class:`~repro.world.WorldConfig` value (or its jsonable form, as it
     arrives from swept :class:`~repro.runner.spec.ExperimentSpec`
     params).  The pre-``WorldConfig`` bare ``spatial_index``/``audit``/

@@ -107,9 +107,9 @@ def run_table1(
     """Drive MLR through the three rounds of Table 1 and snapshot Si.
 
     The gateway moves of rounds 2 and 3 exercise the incremental spatial
-    index; ``world=WorldConfig(spatial_index="bruteforce")`` replays the
-    walkthrough on the full-invalidation reference path (the results
-    must be identical).
+    index, which ``tests/test_spatial_index.py`` holds equal to a dense
+    rebuild; ``world`` (a :class:`~repro.world.WorldConfig` or its
+    jsonable form) selects the execution configuration.
     """
     cfg = WorldConfig.from_param(world) or WorldConfig()
     sensors, places, si = build_table1_topology()

@@ -14,7 +14,7 @@ says what was *asked*; the timeline says what *happened* (a Recover on
 a battery-dead node leaves its window open forever, a RegionOutage's
 victim set depends on who stood in the disc at ``t0``).
 
-Recovery protocol contract: after :meth:`~repro.sim.node.Node.recover`
+Recovery protocol contract: after :meth:`~repro.sim.state.NodeView.recover`
 returns True the injector calls ``protocol.on_node_recovered(node_id)``
 if the attached protocol exposes it (the layered stack does; baselines
 may not — they simply rejoin with stale state, which is itself a

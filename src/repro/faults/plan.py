@@ -72,7 +72,7 @@ class Recover:
     """Repair node ``node`` at time ``t``.
 
     A no-op on nodes that are not failed; battery-dead nodes stay dead
-    (the injector checks :meth:`~repro.sim.node.Node.recover`'s return
+    (the injector checks :meth:`~repro.sim.state.NodeView.recover`'s return
     before rejoining the node to the protocol).
     """
 

@@ -2,8 +2,8 @@
 
 This package implements everything below the routing layer: the event
 engine, packet model, radio propagation, medium access control, the
-first-order radio energy model, node state machines, topology generation,
-gateway mobility and metrics collection.
+first-order radio energy model, struct-of-arrays node state, topology
+generation, gateway mobility and metrics collection.
 
 The substrate replaces the physical 802.15.4 / 802.11 testbed the paper
 assumes (see ``DESIGN.md``, *Substitutions*).
@@ -15,10 +15,10 @@ from repro.sim.serialize import (
     serializable,
     to_jsonable,
 )
-from repro.sim.energy import EnergyModel, EnergyAccount
+from repro.sim.energy import EnergyModel
 from repro.sim.packet import Packet, PacketKind, SecurityEnvelope
 from repro.sim.radio import RadioConfig, IEEE802154, IEEE80211, Channel
-from repro.sim.node import Node, NodeKind
+from repro.sim.node import NodeKind
 from repro.sim.state import EnergyView, NodeStateStore, NodeView
 from repro.sim.network import (
     Network,
@@ -36,7 +36,6 @@ __all__ = [
     "to_jsonable",
     "from_jsonable",
     "EnergyModel",
-    "EnergyAccount",
     "Packet",
     "PacketKind",
     "SecurityEnvelope",
@@ -44,7 +43,6 @@ __all__ = [
     "IEEE802154",
     "IEEE80211",
     "Channel",
-    "Node",
     "NodeKind",
     "NodeStateStore",
     "NodeView",

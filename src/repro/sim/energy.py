@@ -1,4 +1,4 @@
-"""First-order radio energy model and per-node energy accounting.
+"""First-order radio energy model.
 
 This is the model used throughout the paper's reference set (LEACH [17],
 multi-base-station placement [34]): transmitting ``k`` bits over distance
@@ -18,17 +18,19 @@ identical power so that transmitting 1 bit data consumes the same energy to
 all of them" (Section 5.2); set ``fixed_tx_distance`` to model that
 assumption while still letting baselines such as LEACH pay true
 distance-dependent cost for their long-range hops.
+
+Per-node batteries are columns of :class:`~repro.sim.state.NodeStateStore`
+(``Network.nodes[i].energy`` is one row's view).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 from repro.exceptions import ConfigurationError
 
-__all__ = ["EnergyModel", "EnergyAccount"]
+__all__ = ["EnergyModel"]
 
 
 @dataclass(frozen=True)
@@ -83,74 +85,3 @@ class EnergyModel:
             raise ConfigurationError("bits must be non-negative")
         return bits * self.e_elec
 
-
-@dataclass
-class EnergyAccount:
-    """Battery state of a single node.
-
-    Gateways/mesh routers are modelled with ``math.inf`` capacity ("let
-    gateways have unrestricted energy", Section 5.3); sensor nodes get a
-    finite budget and die — permanently — when it is exhausted.  The time of
-    the *first* sensor death is the paper's network-lifetime definition.
-
-    ``on_death`` is an optional zero-argument callback fired exactly once,
-    at the drain that exhausts the battery — how the owning
-    :class:`~repro.sim.node.Node` propagates liveness changes to the
-    :class:`~repro.sim.network.Network`'s maintained alive mask without
-    any per-query scanning.
-    """
-
-    capacity: float
-    remaining: float = field(default=None)  # type: ignore[assignment]
-    spent_tx: float = 0.0
-    spent_rx: float = 0.0
-    spent_idle: float = 0.0
-    died_at: float | None = None
-    on_death: Callable[[], None] | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.remaining is None:
-            self.remaining = self.capacity
-        if self.capacity < 0:
-            raise ConfigurationError("battery capacity must be non-negative")
-
-    @property
-    def alive(self) -> bool:
-        return self.died_at is None
-
-    @property
-    def spent(self) -> float:
-        """Total energy consumed so far, in joules."""
-        return self.spent_tx + self.spent_rx + self.spent_idle
-
-    def _drain(self, joules: float, now: float) -> bool:
-        if not self.alive:
-            return False
-        self.remaining -= joules
-        if self.remaining <= 0 and not math.isinf(self.capacity):
-            self.remaining = 0.0
-            self.died_at = now
-            if self.on_death is not None:
-                self.on_death()
-        return True
-
-    def charge_tx(self, joules: float, now: float) -> bool:
-        """Charge a transmission; returns False if the node was dead."""
-        ok = self._drain(joules, now)
-        if ok:
-            self.spent_tx += joules
-        return ok
-
-    def charge_rx(self, joules: float, now: float) -> bool:
-        """Charge a reception; returns False if the node was dead."""
-        ok = self._drain(joules, now)
-        if ok:
-            self.spent_rx += joules
-        return ok
-
-    def charge_idle(self, joules: float, now: float) -> bool:
-        """Charge idle listening; returns False if the node was dead."""
-        ok = self._drain(joules, now)
-        if ok:
-            self.spent_idle += joules
-        return ok

@@ -2,35 +2,31 @@
 
 A :class:`Network` owns node positions (NumPy arrays, so neighbor sets are
 computed with vectorised distance math — the one genuinely hot path in the
-substrate), the :class:`~repro.sim.node.Node` objects, and the symmetric
-one-hop link relation of the paper's network model (Section 5.1):
+substrate), the per-node state store (``nodes`` are
+:class:`~repro.sim.state.NodeView` rows over a
+:class:`~repro.sim.state.NodeStateStore`), and the symmetric one-hop link
+relation of the paper's network model (Section 5.1):
 
     ``G(V, E)`` with ``V = V_S ∪ V_G`` and an edge wherever two nodes can
     immediately communicate — here, wherever their distance is at most the
     communication range.
 
 Gateways may move between rounds (Section 5.1: sensors static, gateways
-discretely mobile).  Two index implementations maintain the neighbor
-relation under such moves:
+discretely mobile).  A :class:`~repro.sim.spatial.CellGrid` with
+``comm_range``-sized cells maintains the neighbor relation under such
+moves.  ``move_node`` is *incremental*: only the moved node's row and the
+affected reverse rows are touched, the cached ``networkx`` graph is
+edge-patched in place, and a topology epoch is bumped — O(k) per move
+instead of an O(n²) rebuild.  ``hops_to`` runs multi-source BFS over a
+cached CSR adjacency (:mod:`scipy.sparse.csgraph`), revalidated by
+(epoch, alive-version) instead of rebuilt per query.  The dense-matrix
+and networkx reference these are tested against lives in
+``tests/oracle.py``.
 
-``index="grid"`` (default)
-    A :class:`~repro.sim.spatial.CellGrid` with ``comm_range``-sized
-    cells.  ``move_node`` is *incremental*: only the moved node's row and
-    the affected reverse rows are touched, the cached ``networkx`` graph
-    is edge-patched in place, and a topology epoch is bumped — O(k) per
-    move instead of an O(n²) rebuild.  ``hops_to`` runs multi-source BFS
-    over a cached CSR adjacency (:mod:`scipy.sparse.csgraph`), revalidated
-    by (epoch, alive-version) instead of rebuilt per query.
-
-``index="bruteforce"``
-    The reference implementation: dense n × n distance matrix, full
-    invalidation on every change, ``networkx`` Dijkstra for hop counts.
-    Kept so the equivalence suite can hold the incremental path to the
-    simple one, mirroring the scalar/vectorized radio fan-out split.
-
-Node liveness (battery death, injected failures, sleep scheduling) feeds
-a maintained NumPy alive mask through per-node listeners — no per-query
-Python scan over ``self.nodes``.
+Node liveness (battery death, injected failures, sleep scheduling) is the
+store's maintained ``alive`` column; per-node listeners bump the alive
+version and patch the cached graphs on every flip — no per-query Python
+scan over ``self.nodes``.
 """
 
 from __future__ import annotations
@@ -44,8 +40,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from repro.exceptions import ConfigurationError, TopologyError
-from repro.sim.energy import EnergyAccount
-from repro.sim.node import Node, NodeKind
+from repro.sim.node import NodeKind
 from repro.sim.spatial import CellGrid
 from repro.sim.state import NodeStateStore
 
@@ -55,9 +50,6 @@ __all__ = [
     "grid_deployment",
     "build_sensor_network",
 ]
-
-#: Valid spatial index implementations.
-SPATIAL_INDEXES = ("grid", "bruteforce")
 
 
 class Network:
@@ -75,19 +67,6 @@ class Network:
         Initial battery (J) of each SENSOR node; ``math.inf`` gives the
         idealised unlimited-energy setting used by the worked examples.
         Non-sensor kinds are always mains powered.
-    index:
-        Neighbor maintenance strategy: ``"grid"`` (incremental cell-grid
-        index, the default) or ``"bruteforce"`` (dense distance matrix
-        with full invalidation — the reference implementation).
-    soa:
-        Keep per-node state in a :class:`~repro.sim.state.NodeStateStore`
-        (struct-of-arrays), with ``nodes`` holding thin
-        :class:`~repro.sim.state.NodeView` rows instead of
-        :class:`~repro.sim.node.Node` objects.  ``False`` (the default
-        for directly constructed networks) is the bit-identity reference
-        path, gated exactly like ``index="bruteforce"``; worlds built
-        through :class:`~repro.world.WorldBuilder` enable it via
-        ``WorldConfig.soa``.
     """
 
     def __init__(
@@ -96,8 +75,6 @@ class Network:
         kinds: Sequence[NodeKind],
         comm_range: float = 40.0,
         sensor_battery: float = math.inf,
-        index: str = "grid",
-        soa: bool = False,
     ) -> None:
         positions = np.asarray(positions, dtype=float)
         if positions.ndim != 2 or positions.shape[1] != 2:
@@ -106,33 +83,20 @@ class Network:
             raise ConfigurationError("kinds and positions must have equal length")
         if comm_range <= 0:
             raise ConfigurationError("comm_range must be positive")
-        if index not in SPATIAL_INDEXES:
-            raise ConfigurationError(
-                f"unknown spatial index {index!r}; choose from {SPATIAL_INDEXES}"
-            )
 
         self.positions = positions.copy()
         self.comm_range = float(comm_range)
-        self.index = index
         capacities = [
             sensor_battery if kind is NodeKind.SENSOR else math.inf for kind in kinds
         ]
-        #: the struct-of-arrays state core (None on the object reference path)
-        self.store: Optional[NodeStateStore] = None
-        if soa:
-            self.store = NodeStateStore(kinds, capacities)
-            self.nodes = [self.store.node_view(i) for i in range(len(kinds))]
-        else:
-            self.nodes = [
-                Node(node_id=i, kind=kind, energy=EnergyAccount(capacity=capacities[i]))
-                for i, kind in enumerate(kinds)
-            ]
+        #: the struct-of-arrays state core behind ``nodes``
+        self.store = NodeStateStore(kinds, capacities)
+        self.nodes = [self.store.node_view(i) for i in range(len(kinds))]
 
         self._neighbor_cache: Optional[list[np.ndarray]] = None
         self._grid: Optional[CellGrid] = None
-        # graph() cache: alive_only -> (alive version at build, graph).
-        # The grid index patches cached graphs in place on moves/deaths;
-        # the brute-force reference drops them and rebuilds.
+        # graph() cache: alive_only -> (alive version at build, graph),
+        # patched in place on moves/deaths.
         self._graph_cache: dict[bool, tuple[int, nx.Graph]] = {}
         # hops_to() cache: alive_only -> (edge epoch, alive version, CSR).
         self._csr_cache: dict[bool, tuple[int, int, csr_matrix]] = {}
@@ -145,14 +109,11 @@ class Network:
         #: invalidation); alive transitions bump ``_alive_version`` instead.
         self._edge_epoch = 0
         self._alive_version = 0
-        # Maintained liveness mask: nodes notify the network on every
-        # alive-flag transition (battery death, fail/recover, sleep/wake),
-        # so no query ever re-derives liveness with a Python generator.
-        self._alive = np.fromiter(
-            (n.alive for n in self.nodes), dtype=bool, count=len(self.nodes)
-        )
-        for node in self.nodes:
-            node.bind_alive_listener(self._on_alive_change)
+        # The store notifies the network on every alive-flag transition
+        # (battery death, fail/recover, sleep/wake), so liveness-derived
+        # caches are patched or dropped exactly when they go stale.
+        for i in range(len(self.nodes)):
+            self.store.bind_alive_listener(i, self._on_alive_change)
 
     # ------------------------------------------------------------------
     # structure queries
@@ -180,8 +141,8 @@ class Network:
 
     @property
     def alive_mask(self) -> np.ndarray:
-        """Maintained per-node liveness mask.  Treat as read-only."""
-        return self._alive
+        """The store's maintained per-node liveness column.  Treat as read-only."""
+        return self.store.alive
 
     def distance(self, i: int, j: int) -> float:
         """Euclidean distance between nodes ``i`` and ``j`` in meters."""
@@ -217,17 +178,8 @@ class Network:
     # neighbor sets (vectorised, cached)
     # ------------------------------------------------------------------
     def _build_neighbor_cache(self) -> list[np.ndarray]:
-        if self.index == "grid":
-            self._grid = CellGrid(self.positions, self.comm_range)
-            return self._grid.neighbor_rows(self.comm_range)
-        # Pairwise squared distances via broadcasting; the O(n^2) matrix
-        # is the reference the grid index is tested against.
-        pos = self.positions
-        diff = pos[:, None, :] - pos[None, :, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        within = d2 <= self.comm_range * self.comm_range
-        np.fill_diagonal(within, False)
-        return [np.nonzero(row)[0] for row in within]
+        self._grid = CellGrid(self.positions, self.comm_range)
+        return self._grid.neighbor_rows(self.comm_range)
 
     def neighbors(self, i: int) -> np.ndarray:
         """Ids within communication range of node ``i`` (excluding ``i``)."""
@@ -249,16 +201,16 @@ class Network:
         out = self._alive_nbr_cache.get(i)
         if out is None:
             nbrs = self.neighbors(i)
-            out = nbrs[self._alive[nbrs]]
+            out = nbrs[self.store.alive[nbrs]]
             self._alive_nbr_cache[i] = out
         return out
 
     def invalidate(self) -> None:
         """Drop every topology cache after a wholesale change.
 
-        The incremental grid index never needs this for single-node moves
-        (``move_node`` patches in place); it remains the escape hatch for
-        callers that rewrite ``positions`` directly.
+        Single-node moves never need this (``move_node`` patches in
+        place); it remains the escape hatch for callers that rewrite
+        ``positions`` directly.
         """
         self._neighbor_cache = None
         self._grid = None
@@ -273,21 +225,18 @@ class Network:
     def move_node(self, node_id: int, pos: Iterable[float]) -> None:
         """Relocate a node (gateway mobility).
 
-        With the grid index this is incremental: only node ``node_id``'s
-        neighbor row and the affected reverse rows (old minus new, new
-        minus old) are updated, cached graphs are edge-patched around the
-        node, and the epoch is bumped only when the edge set actually
-        changed.  The brute-force reference invalidates everything.
+        Incremental: only node ``node_id``'s neighbor row and the affected
+        reverse rows (old minus new, new minus old) are updated, cached
+        graphs are edge-patched around the node, and the epoch is bumped
+        only when the edge set actually changed.
         """
         if not 0 <= node_id < len(self.nodes):
             raise TopologyError(f"no such node: {node_id}")
         new_pos = np.asarray(list(pos), dtype=float)
         self.positions[node_id] = new_pos
-        if self.index == "bruteforce" or self._neighbor_cache is None:
+        if self._neighbor_cache is None:
             # No cache built yet: nothing to patch, the next query builds
             # from the already-updated positions.
-            if self.index == "bruteforce":
-                self.invalidate()
             return
 
         self._grid.move(node_id)
@@ -327,29 +276,22 @@ class Network:
                     g.add_edge(node_id, jj, weight=1.0)
 
     # ------------------------------------------------------------------
-    # liveness maintenance (listener target; see Node.bind_alive_listener)
+    # liveness maintenance (store listener target, fired once per flip)
     # ------------------------------------------------------------------
     def _on_alive_change(self, node_id: int, alive: bool) -> None:
-        if bool(self._alive[node_id]) == bool(alive):
-            return
-        self._alive[node_id] = alive
         self._alive_version += 1
         self._csr_cache.pop(True, None)
         self._alive_nbr_cache.clear()
         cached = self._graph_cache.get(True)
         if cached is None:
             return
-        if self.index == "bruteforce":
-            # Reference behavior: the alive graph goes stale and is
-            # rebuilt wholesale on the next query.
-            self._graph_cache.pop(True, None)
-            return
         _, g = cached
         if alive:
             g.add_node(node_id, kind=self.nodes[node_id].kind)
+            alive_mask = self.store.alive
             for j in self.neighbors(node_id):
                 jj = int(j)
-                if self._alive[jj]:
+                if alive_mask[jj]:
                     g.add_edge(node_id, jj, weight=1.0)
         elif node_id in g:
             g.remove_node(node_id)
@@ -361,10 +303,10 @@ class Network:
     def graph(self, alive_only: bool = True) -> nx.Graph:
         """The one-hop link graph as a :class:`networkx.Graph`.
 
-        The graph is cached; with the grid index it is *patched* in place
-        as nodes move, die or recover, so repeated queries (the mesh
-        backbone recomputes routes on every forwarding decision; E9
-        recomputes reachability per failure step) almost never rebuild.
+        The graph is cached and *patched* in place as nodes move, die or
+        recover, so repeated queries (the mesh backbone recomputes routes
+        on every forwarding decision; E9 recomputes reachability per
+        failure step) almost never rebuild.
         Treat the returned graph as read-only.
         """
         cached = self._graph_cache.get(alive_only)
@@ -373,7 +315,7 @@ class Network:
             if not alive_only or version == self._alive_version:
                 return g
         g = nx.Graph()
-        alive = self._alive
+        alive = self.store.alive
         for node in self.nodes:
             if alive_only and not alive[node.node_id]:
                 continue
@@ -406,7 +348,8 @@ class Network:
         if alive_only:
             # Keep an entry iff both endpoints are alive; the segmented
             # cumulative-sum trick rebuilds indptr without a Python loop.
-            keep = self._alive[flat] & np.repeat(self._alive, lens)
+            alive = self.store.alive
+            keep = alive[flat] & np.repeat(alive, lens)
             kept = np.zeros(len(flat) + 1, dtype=np.int64)
             np.cumsum(keep, out=kept[1:])
             indices = flat[keep]
@@ -424,20 +367,17 @@ class Network:
         """Minimum hop count from every reachable node to the nearest target.
 
         Multi-source BFS; the ground truth that SPR's discovered routes
-        are tested against.  The grid index runs it as one unweighted
-        Dijkstra sweep over the cached CSR adjacency; the brute-force
-        reference keeps the original networkx implementation.
+        are tested against.  Runs as one unweighted Dijkstra sweep over
+        the cached CSR adjacency.
         """
         n = len(self.nodes)
+        alive = self.store.alive
         if alive_only:
-            valid = sorted({int(t) for t in targets if 0 <= int(t) < n and self._alive[int(t)]})
+            valid = sorted({int(t) for t in targets if 0 <= int(t) < n and alive[int(t)]})
         else:
             valid = sorted({int(t) for t in targets if 0 <= int(t) < n})
         if not valid:
             return {}
-        if self.index == "bruteforce":
-            g = self.graph(alive_only=alive_only)
-            return dict(nx.multi_source_dijkstra_path_length(g, set(valid), weight=None))
         mat = self._csr_adjacency(alive_only)
         dist = _csgraph_dijkstra(
             mat, directed=True, unweighted=True, indices=valid, min_only=True
@@ -485,8 +425,6 @@ def build_sensor_network(
     gateway_positions: np.ndarray,
     comm_range: float = 40.0,
     sensor_battery: float = math.inf,
-    index: str = "grid",
-    soa: bool = False,
 ) -> Network:
     """Assemble a sensor-tier :class:`Network`: sensors first, then gateways.
 
@@ -499,7 +437,4 @@ def build_sensor_network(
         gateway_positions = gateway_positions.reshape(1, 2)
     positions = np.vstack([sensor_positions, gateway_positions])
     kinds = [NodeKind.SENSOR] * len(sensor_positions) + [NodeKind.GATEWAY] * len(gateway_positions)
-    return Network(
-        positions, kinds, comm_range=comm_range, sensor_battery=sensor_battery,
-        index=index, soa=soa,
-    )
+    return Network(positions, kinds, comm_range=comm_range, sensor_battery=sensor_battery)

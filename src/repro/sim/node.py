@@ -1,4 +1,4 @@
-"""Node state machines for the three-tier WMSN architecture.
+"""Node roles of the three-tier WMSN architecture.
 
 The architecture (Section 3.2, Fig. 1) distinguishes four node kinds:
 
@@ -14,21 +14,17 @@ The architecture (Section 3.2, Fig. 1) distinguishes four node kinds:
     Pure middle-tier router; 802.11 only.
 ``BASE_STATION``
     Bridges the wireless mesh to the Internet; supports WMG/WMR mobility.
+
+Per-node state (battery, liveness, handler) lives in the network's
+:class:`~repro.sim.state.NodeStateStore`; ``Network.nodes`` presents each
+row as a :class:`~repro.sim.state.NodeView`.
 """
 
 from __future__ import annotations
 
 import enum
-import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, TYPE_CHECKING
 
-from repro.sim.energy import EnergyAccount
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.sim.packet import Packet
-
-__all__ = ["NodeKind", "Node"]
+__all__ = ["NodeKind"]
 
 
 class NodeKind(enum.Enum):
@@ -43,123 +39,3 @@ class NodeKind(enum.Enum):
     def is_sink(self) -> bool:
         """Whether sensor-tier data terminates here."""
         return self in (NodeKind.GATEWAY, NodeKind.BASE_STATION)
-
-
-@dataclass
-class Node:
-    """A single network node.
-
-    The node itself is a thin container: position lives in the
-    :class:`~repro.sim.network.Network` arrays (vectorised neighbor math),
-    behaviour lives in the protocol that registers ``handler``.
-
-    Attributes
-    ----------
-    node_id:
-        Index into the network's position arrays.
-    kind:
-        Role (sensor / gateway / mesh router / base station).
-    energy:
-        Battery account; infinite for mains-powered kinds by default.
-    handler:
-        Callback invoked with each successfully received packet.
-    failed:
-        Set by fault-injection experiments; a failed node neither sends
-        nor receives but keeps its residual energy (hardware fault, not
-        battery exhaustion).
-    """
-
-    node_id: int
-    kind: NodeKind
-    energy: EnergyAccount = field(default_factory=lambda: EnergyAccount(capacity=math.inf))
-    handler: Optional[Callable[["Packet"], None]] = None
-    failed: bool = False
-    sleeping: bool = False
-
-    # Class-level defaults: no listener until the network binds one, so the
-    # dataclass __init__ and listener-free nodes stay on the fast path.
-    _alive_listener: Optional[Callable[[int, bool], None]] = None
-    #: last liveness value the listener saw — the edge detector that
-    #: guarantees exactly one notification per actual alive flip, no
-    #: matter which path (fail/sleep/recover/battery death/energy swap)
-    #: triggered the check.
-    _last_alive: bool = True
-
-    def bind_alive_listener(self, listener: Callable[[int, bool], None]) -> None:
-        """Register ``listener(node_id, alive)``, fired on liveness flips.
-
-        The :class:`~repro.sim.network.Network` binds this to maintain its
-        NumPy alive mask incrementally.  Every way a node's ``alive`` can
-        change is covered: ``failed``/``sleeping`` assignments are caught
-        by :meth:`__setattr__`, battery exhaustion by the energy account's
-        ``on_death`` hook (re-bound if ``energy`` is swapped out).  The
-        listener fires exactly once per actual flip: a battery dying on a
-        node that is already failed or sleeping changes nothing and stays
-        silent.
-        """
-        object.__setattr__(self, "_alive_listener", listener)
-        object.__setattr__(self, "_last_alive", self.alive)
-        self.energy.on_death = self._notify_alive
-
-    def _notify_alive(self) -> None:
-        if self._alive_listener is None:
-            return
-        now = self.alive
-        if now != self._last_alive:
-            object.__setattr__(self, "_last_alive", now)
-            self._alive_listener(self.node_id, now)
-
-    def __setattr__(self, name: str, value) -> None:
-        listener = self.__dict__.get("_alive_listener")
-        if listener is None:
-            object.__setattr__(self, name, value)
-            return
-        object.__setattr__(self, name, value)
-        if name in ("failed", "sleeping"):
-            self._notify_alive()
-        elif name == "energy":
-            value.on_death = self._notify_alive
-            self._notify_alive()
-
-    @property
-    def alive(self) -> bool:
-        """True when the node can participate in the network.
-
-        A sleeping node (topology control, Section 4.4) has its radio off:
-        it neither transmits nor receives until woken, but unlike a failed
-        node it resumes seamlessly.
-        """
-        return self.energy.alive and not self.failed and not self.sleeping
-
-    @property
-    def died_at(self) -> Optional[float]:
-        """Battery-death time, or None while the battery lives.
-
-        Same contract as the struct-of-arrays ``NodeView.died_at``:
-        battery exhaustion only — injected failures keep residual energy
-        and leave this None.
-        """
-        return self.energy.died_at
-
-    def receive(self, packet: "Packet") -> None:
-        """Hand a delivered packet to the registered protocol handler."""
-        if self.handler is not None and self.alive:
-            self.handler(packet)
-
-    def fail(self) -> None:
-        """Inject a hardware failure (robustness experiments, E9)."""
-        self.failed = True
-
-    def recover(self) -> bool:
-        """Clear an injected failure.
-
-        Returns whether the node is actually alive afterwards.  A node
-        whose battery died while (or before) it was failed stays dead:
-        the cleared flag never signals an alive transition, because
-        :meth:`__setattr__` only notifies when :attr:`alive` really
-        flips — battery exhaustion is permanent, hardware faults are
-        not.  Callers that rejoin the node to a protocol (the fault
-        injector) must check the return value before re-announcing.
-        """
-        self.failed = False
-        return self.alive

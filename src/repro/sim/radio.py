@@ -49,7 +49,7 @@ class GilbertElliott:
 
     The chain consumes exactly two RNG draws per intended receiver —
     one transition, one loss — regardless of parameter values, so the
-    scalar and vectorized fan-out paths stay stream-identical.
+    batched fan-out and a per-receiver loop draw the identical stream.
     """
 
     p_gb: float
@@ -124,20 +124,23 @@ class Channel:
     sim:
         The discrete-event engine (also the source of randomness).
     network:
-        Topology provider; must expose ``nodes``, ``neighbors(i)`` and
-        ``distance(i, j)`` (see :class:`repro.sim.network.Network`).
+        The :class:`repro.sim.network.Network` whose neighbor rows and
+        node-state store (``network.store``) the channel reads and charges.
     config:
         Radio parameters (default 802.15.4 — the sensor tier).
     energy_model:
         First-order radio model used to charge TX/RX energy.
     metrics:
         Collector receiving send/receive/drop events.
-    vectorized:
-        Batch the per-neighbor fan-out math (distance, propagation, loss
-        draws) with NumPy.  On by default; the scalar loop is kept as a
-        reference implementation for equivalence tests and the hot-path
-        benchmark.  Both paths draw from the RNG in the same order, so
-        they are stream-identical.
+
+    Each frame fans out one of two ways, chosen by the frame and the
+    radio: broadcasts on an unobserved medium (no CSMA, no collisions)
+    join the batched delivery buffer (:meth:`_fanout_batched`); unicast
+    frames and every frame on an observed medium schedule one event per
+    reception (:meth:`_fanout_vectorized`).  Both batch the per-neighbor
+    math with NumPy and draw from the RNG in neighbor order — the same
+    stream a per-receiver scalar loop consumes, which is the reference
+    ``tests/oracle.py`` holds them to.
     """
 
     def __init__(
@@ -147,7 +150,6 @@ class Channel:
         config: RadioConfig = IEEE802154,
         energy_model: Optional[EnergyModel] = None,
         metrics: Optional[MetricsCollector] = None,
-        vectorized: bool = True,
     ) -> None:
         self.sim = sim
         self.network = network
@@ -155,21 +157,19 @@ class Channel:
         self.energy_model = energy_model or EnergyModel()
         self.metrics = metrics or MetricsCollector()
         self.medium = MediumState()
-        self.vectorized = vectorized
         self._prune_every = 256
         self._sends_since_prune = 0
         # With carrier sensing and collision detection both off, nothing
         # ever reads the medium bookkeeping — skip it on the hot path.
         self._medium_observed = config.csma or config.collisions
-        #: the network's struct-of-arrays core, when it has one
-        self._store = getattr(network, "store", None)
-        # Batched same-timestamp delivery draining requires columnar
-        # state and an unobserved medium (CSMA deferrals and collision
-        # records are inherently per-reception); worlds that fail either
-        # condition fall back to per-event delivery — the per-world
-        # scalar fallback.  LinkDegrade fault windows only swap
-        # loss_rate/burst, so the gate is stable for a channel's lifetime.
-        self._batched = vectorized and self._store is not None and not self._medium_observed
+        #: the network's struct-of-arrays node state
+        self._store = network.store
+        # Batched same-timestamp delivery draining requires an unobserved
+        # medium (CSMA deferrals and collision records are inherently
+        # per-reception); other radios deliver per event.  LinkDegrade
+        # fault windows only swap loss_rate/burst, so the gate is stable
+        # for a channel's lifetime.
+        self._batched = not self._medium_observed
         # Pending broadcast deliveries as one flat sorted buffer of
         # ``(time, seq, node, rx_joules, packet, kind)`` entries with a
         # consume cursor.  New fan-out runs bisect-insert into the
@@ -219,8 +219,7 @@ class Channel:
         fan-outs, so both the chain state and the draw sequence live
         entirely on whichever process owns the sender.  The batch
         consumes the stream in exactly the order a scalar
-        two-draws-per-receiver loop would, so the fan-out paths share
-        this helper and stay bit-identical.
+        two-draws-per-receiver loop would.
         """
         ge = self.config.burst
         k = len(receivers)
@@ -428,10 +427,9 @@ class Channel:
             free = self.medium.earliest_free(hearers, sender, self.sim.now)
             if free > self.sim.now:
                 backoff = self._jitter(sender)
-                if self._store is not None:
-                    # Columnar observability: when this node's current
-                    # hold-off expires (absolute time).
-                    self._store.backoff[sender] = free + backoff
+                # Columnar observability: when this node's current
+                # hold-off expires (absolute time).
+                self._store.backoff[sender] = free + backoff
                 self.sim.schedule(
                     free - self.sim.now + backoff, self._begin_tx, sender, packet, attempt
                 )
@@ -464,88 +462,20 @@ class Channel:
             neighbors, resolved = split
         if self._batched and packet.dst is None:
             self._fanout_batched(sender, packet, neighbors, start, end, resolved)
-        elif self.vectorized:
-            self._fanout_vectorized(sender, packet, attempt, neighbors, start, end, resolved)
         else:
-            self._fanout_scalar(sender, packet, attempt, neighbors, start, end, resolved)
-
-    def _fanout_scalar(
-        self, sender: int, packet: Packet, attempt: int,
-        neighbors: np.ndarray, start: float, end: float,
-        resolved: bool = False,
-    ) -> None:
-        """The pre-refactor per-neighbor Python loop (reference path).
-
-        ``resolved`` means a sharded split already made the loss draws
-        for this frame (and dropped the casualties), so ``neighbors``
-        are all survivors.
-        """
-        rng = None
-        found_dst = packet.dst is None
-        burst_lost = None
-        if not resolved and self.config.burst is not None:
-            # Pre-draw the burst chain for the intended receivers (in
-            # neighbor order — the exact sequence this loop visits them);
-            # nothing else consumes the sender's stream inside the loop,
-            # so it is identical to interleaved per-receiver draws.
-            intended_ids = [
-                int(nb) for nb in neighbors if packet.dst is None or packet.dst == nb
-            ]
-            burst_lost = iter(self._burst_losses(sender, intended_ids))
-        elif not resolved and self.config.loss_rate > 0.0:
-            rng = self.sim.node_rng(sender)
-        for nb in neighbors:
-            intended = packet.dst is None or packet.dst == nb
-            if intended:
-                found_dst = True
-            prop = self.network.distance(sender, nb) / _SPEED_OF_LIGHT
-            arrive = end + prop
-            if burst_lost is not None:
-                lost = intended and next(burst_lost)
-            else:
-                lost = (
-                    intended
-                    and rng is not None
-                    and rng.random() < self.config.loss_rate
-                )
-            if lost:
-                self.metrics.on_drop("loss")
-                if self._medium_observed:
-                    # The frame is lost to the receiver, not to physics:
-                    # its energy still occupies the medium and collides
-                    # with overlapping receptions (non-deliverable entry).
-                    self.medium.register_reception(
-                        nb, start + prop, arrive, packet, sender, False, self.config.collisions
-                    )
-                if packet.dst is not None:
-                    self.sim.schedule(
-                        arrive - self.sim.now, self._maybe_retry, sender, packet, attempt
-                    )
-                continue
-            rec = self.medium.register_reception(
-                nb, start + prop, arrive, packet, sender, intended, self.config.collisions
-            )
-            if intended:
-                self.sim.schedule(arrive - self.sim.now, self._deliver, nb, rec, sender, attempt)
-
-        if not found_dst:
-            # Link-layer unicast to a node that moved/died out of range —
-            # the flag replaces an O(n) NumPy membership scan per frame
-            # and keeps drop accounting identical to the vectorized path.
-            # No reception exists, so ARQ never fires: terminal.
-            self.metrics.on_terminal_drop("no_link", packet, node=sender, now=self.sim.now)
+            self._fanout_vectorized(sender, packet, attempt, neighbors, start, end, resolved)
 
     def _fanout_vectorized(
         self, sender: int, packet: Packet, attempt: int,
         neighbors: np.ndarray, start: float, end: float,
         resolved: bool = False,
     ) -> None:
-        """Batched fan-out: one NumPy pass for distance/propagation/loss.
+        """Per-event fan-out: one NumPy pass for distance/propagation/loss.
 
-        Draw-order stable with :meth:`_fanout_scalar`: loss draws are taken
-        as one batch in neighbor order, exactly the sequence the scalar
-        loop consumes, so both paths produce identical RNG streams and
-        identical schedules.  ``resolved`` means a sharded split already
+        Loss draws are taken as one batch in neighbor order, exactly the
+        sequence a per-receiver scalar loop consumes, so the RNG stream
+        and the schedule equal that loop's (the reference in
+        ``tests/oracle.py``).  ``resolved`` means a sharded split already
         made this frame's draws and ``neighbors`` are all survivors.
         """
         dst = packet.dst
@@ -601,8 +531,9 @@ class Channel:
             if lost_l is not None and lost_l[idx]:
                 self.metrics.on_drop("loss")
                 if interference:
-                    # Mirror of the scalar path: a lost frame still lands
-                    # as non-deliverable interference at the receiver.
+                    # The frame is lost to the receiver, not to physics:
+                    # its energy still occupies the medium and collides
+                    # with overlapping receptions (non-deliverable entry).
                     register(nb, start_l[idx], arrive, packet, sender, False, detect)
                 if dst is not None:
                     schedule(arrive - now, self._maybe_retry, sender, packet, attempt)
@@ -637,7 +568,7 @@ class Channel:
         computed with the same float expression ``schedule`` uses, and
         entries are stably sorted by time.  RNG draws are taken in the
         identical order and shapes, so the run is a pure re-packaging
-        of the reference schedule.
+        of the per-event schedule.
         """
         n = len(neighbors)
         if n == 0:
@@ -670,7 +601,7 @@ class Channel:
         if k == 0:
             return
         # One seq per scheduled delivery, reserved in neighbor order —
-        # the reference path's allocation — then stably sorted by time,
+        # per-event scheduling's allocation — then stably sorted by time,
         # which yields exact (time, seq) heap order.
         base = self.sim.alloc_seqs(k)
         order = np.argsort(kept_times, kind="stable")
@@ -740,7 +671,7 @@ class Channel:
           re-derived, since the new event may have to interleave;
         * energy charges, deaths and drops happen per entry in that exact
           order (one scalar store op each), so float accumulation order
-          matches the reference path bitwise.
+          matches per-event delivery bitwise.
 
         Only the ``received`` counters are coalesced (they are pure
         increments — addition order cannot be observed): consecutive
@@ -806,8 +737,8 @@ class Channel:
             i += 1
             if fast_l[nb]:
                 # Mains powered and alive: remaining stays inf (inf - j
-                # is inf bitwise, as the reference path computes it) and
-                # no death is possible — the charge is two adds.
+                # is inf bitwise, as a full charge computes it) and no
+                # death is possible — the charge is two adds.
                 spent_rx[nb] += rx_j
                 rx_count[nb] += 1
                 if kind is cur_kind:
@@ -837,7 +768,7 @@ class Channel:
                             bs = top[1]
             elif alive_l[nb]:
                 # Finite battery: full scalar charge with the death
-                # bookkeeping of the reference path.
+                # bookkeeping of per-event delivery.
                 store.charge_rx(nb, rx_j, t)
                 if not store.energy_alive[nb]:
                     # Battery died mid-reception; the frame was never

@@ -1,8 +1,8 @@
 """Uniform-cell spatial index for O(n·k) neighbor maintenance.
 
-The brute-force neighbor computation in :class:`repro.sim.network.Network`
-builds the full ``n × n`` pairwise-distance matrix — fine for a static
-field, quadratic waste when one gateway moves between rounds (MLR moves
+A brute-force neighbor computation builds the full ``n × n``
+pairwise-distance matrix — fine for a static field, quadratic waste
+when one gateway moves between rounds (MLR moves
 gateways every round, Section 5.3).  :class:`CellGrid` buckets nodes into
 square cells whose side equals the query radius, so the nodes within
 ``r`` of any point all sit in the 3 × 3 cell block around it.  That makes
@@ -15,12 +15,12 @@ This is the same virtual-grid decomposition GAF uses for coordinator
 election (Section 4.4 cites it) — here applied to the simulation
 substrate instead of the protocol.
 
-Float semantics match the brute-force path bit-for-bit: candidate
-distances are computed with the same subtract/multiply/sum element
-operations on the same float64 positions, and rows are returned sorted
-ascending exactly like ``np.nonzero`` on the dense mask, so the two index
-implementations produce *identical* neighbor arrays (the equivalence
-suite in ``tests/test_spatial_index.py`` holds them to that).
+Float semantics match a dense rebuild bit-for-bit: candidate distances
+are computed with the same subtract/multiply/sum element operations on
+the same float64 positions, and rows are returned sorted ascending
+exactly like ``np.nonzero`` on the dense mask, so the grid produces
+*identical* neighbor arrays to the dense oracle in ``tests/oracle.py``
+(``tests/test_spatial_index.py`` holds it to that).
 """
 
 from __future__ import annotations

@@ -1,40 +1,35 @@
-"""Struct-of-arrays node state: the columnar core behind the object API.
+"""Struct-of-arrays node state: the single home of per-node state.
 
-:class:`NodeStateStore` keeps every *hot* per-node scalar — battery
-columns, liveness flags, tx/rx counters, protocol queue depths, the
-best-route summary and CSMA backoff state — in contiguous NumPy arrays
-(one array per column: the classic struct-of-arrays layout), while
-:class:`NodeView` / :class:`EnergyView` re-present single rows through
-exactly the surface of :class:`repro.sim.node.Node` and
-:class:`repro.sim.energy.EnergyAccount`.  Protocols, fault injection and
-analysis code keep talking to "node objects"; the radio hot path talks to
-the columns directly (:meth:`NodeStateStore.charge`,
-:meth:`NodeStateStore.alive_view`), which is what makes batched
-same-timestamp delivery draining (see :meth:`repro.sim.radio.Channel`)
-one vector operation instead of thousands of attribute chains.
+:class:`NodeStateStore` keeps every per-node scalar — battery columns,
+liveness flags, tx/rx counters, protocol queue depths, the best-route
+summary and CSMA backoff state — in contiguous NumPy arrays (one array
+per column: the classic struct-of-arrays layout).  ``Network.nodes``
+presents each row as a :class:`NodeView` (with its battery as an
+:class:`EnergyView`), which is what protocols, fault injection and
+analysis code talk to; the radio hot path reads and charges the columns
+directly, which is what makes batched same-timestamp delivery draining
+(see :class:`repro.sim.radio.Channel`) a tight loop instead of thousands
+of attribute chains.
 
-Bit-identity contract
----------------------
-The store is not an approximation of the object path — it *is* the object
-path, re-laid-out.  Every scalar operation replicates the corresponding
-``EnergyAccount`` / ``Node`` code word for word (same IEEE-754 double
-arithmetic, same comparison and death-at-drain semantics, same
-edge-detected liveness notification), so a world built over a store
-produces bit-identical metrics rows, RNG streams and conservation ledgers
-to one built over plain objects.  The equivalence suite
-(``tests/test_soa_equivalence.py``) and the benchmark digest gate
-(``benchmarks/bench_hotpath.py``) hold it to that.
+Battery semantics
+-----------------
+A charge subtracts from ``remaining`` and adds to its ``spent_*``
+category.  A finite battery that reaches zero dies permanently at that
+drain: ``remaining`` clamps to 0 and ``died_at`` records the time.
+Mains-powered rows (``capacity = inf``; gateways, "let gateways have
+unrestricted energy", Section 5.3) never die.  The first sensor death
+is the paper's network-lifetime definition.  A dead battery refuses
+further charges.
 
 View invalidation
 -----------------
 Views never cache row values — every property reads the column at access
 time — so there is nothing to invalidate when the store mutates.  The
 one derived column, ``alive``, is *maintained*: every mutation that can
-flip liveness (battery death, ``failed``/``sleeping`` writes, an energy
-reload) funnels through :meth:`NodeStateStore.refresh_alive`, which
+flip liveness (battery death, ``failed``/``sleeping`` writes, halo
+mirroring) funnels through :meth:`NodeStateStore.refresh_alive`, which
 edge-detects against the stored value and fires the per-node listener
-exactly once per actual flip — the same contract as
-``Node.bind_alive_listener``.  Arrays returned by :meth:`alive_view` /
+exactly once per actual flip.  Arrays returned by :meth:`alive_view` /
 :meth:`route_columns` are live read-only windows onto the columns: they
 reflect later mutations and must never be written through.
 """
@@ -79,10 +74,10 @@ class NodeStateStore:
     Columns (all length ``n``)
     --------------------------
     ``capacity, remaining, spent_tx, spent_rx, spent_idle`` : float64
-        The :class:`~repro.sim.energy.EnergyAccount` fields.
+        The battery account (see "Battery semantics" above).
     ``died_at`` : float64
-        Battery-death time; ``nan`` while the battery lives (the
-        object path's ``None``).
+        Battery-death time; ``nan`` while the battery lives (views
+        report ``None``).
     ``energy_alive, failed, sleeping, alive, finite`` : bool
         Liveness flags; ``alive`` is the maintained conjunction
         ``energy_alive & ~failed & ~sleeping``; ``finite`` marks rows
@@ -90,12 +85,11 @@ class NodeStateStore:
         fast path requires an all-infinite run — see
         :meth:`charge`).
     ``tx_count, rx_count`` : Python int lists
-        Frames transmitted / received per node (per-node observability
-        the object path never had; not part of the bit-identity set).
-        These two columns are plain Python lists rather than arrays:
-        they are bumped once per delivered frame on the pump hot path,
-        integer increments are order-free, and a list index costs a
-        fraction of a NumPy scalar access — :meth:`counter_columns`
+        Frames transmitted / received per node.  These two columns are
+        plain Python lists rather than arrays: they are bumped once per
+        delivered frame on the pump hot path, integer increments are
+        order-free, and a list index costs a fraction of a NumPy scalar
+        access — :meth:`counter_columns`
         materializes int64 arrays on demand.
     ``queue_depth`` : int64
         Payloads waiting in the owning protocol's pending queue.
@@ -227,9 +221,8 @@ class NodeStateStore:
     def refresh_alive(self, i: int) -> None:
         """Re-derive ``alive[i]``; edge-detect and notify the listener.
 
-        Exactly mirrors ``Node._notify_alive``: the listener fires once
-        per actual flip, and a battery dying on an already-failed node
-        stays silent.
+        The listener fires once per actual flip, and a battery dying on
+        an already-failed node stays silent.
         """
         now_alive = bool(
             self.energy_alive[i] and not self.failed[i] and not self.sleeping[i]
@@ -281,7 +274,7 @@ class NodeStateStore:
             self.refresh_alive(i)
 
     def _kill_battery(self, i: int, now: float) -> None:
-        """Battery exhaustion: matches ``EnergyAccount._drain``'s death arm."""
+        """Battery exhaustion: permanent, recorded at ``now``."""
         self.remaining[i] = 0.0
         self.died_at[i] = now
         self.energy_alive[i] = False
@@ -291,7 +284,7 @@ class NodeStateStore:
         self.refresh_alive(i)
 
     # ------------------------------------------------------------------
-    # scalar energy ops (EnergyAccount replicas, see bit-identity contract)
+    # scalar energy ops
     # ------------------------------------------------------------------
     def _drain(self, i: int, joules: float, now: float) -> bool:
         if not self.energy_alive[i]:
@@ -360,28 +353,6 @@ class NodeStateStore:
         return bool(self.alive[ids].all())
 
     # ------------------------------------------------------------------
-    # energy reload (Node.energy assignment parity)
-    # ------------------------------------------------------------------
-    def load_energy(self, i: int, account) -> None:
-        """Copy an :class:`~repro.sim.energy.EnergyAccount`'s fields into
-        row ``i`` (the object path's ``node.energy = account``)."""
-        self.capacity[i] = account.capacity
-        self.remaining[i] = account.remaining
-        self.spent_tx[i] = account.spent_tx
-        self.spent_rx[i] = account.spent_rx
-        self.spent_idle[i] = account.spent_idle
-        died = getattr(account, "died_at", None)
-        self.died_at[i] = np.nan if died is None else died
-        self.energy_alive[i] = died is None
-        finite = math.isfinite(account.capacity)
-        if finite != bool(self.finite[i]):
-            self.finite[i] = finite
-            self.finite_list[i] = finite
-            self.finite_count += 1 if finite else -1
-        self.refresh_alive(i)
-        self.fast_list[i] = self.alive_list[i] and not finite
-
-    # ------------------------------------------------------------------
     # routing / queue columns (maintained by the protocol layer)
     # ------------------------------------------------------------------
     def note_route(self, i: int, next_hop: Optional[int]) -> None:
@@ -418,13 +389,11 @@ class NodeStateStore:
 
 
 class EnergyView(object):
-    """One store row presented as an :class:`~repro.sim.energy.EnergyAccount`.
+    """One store row's battery account.
 
-    Supports every read and mutation the codebase performs on an account
+    Supports every read and mutation the codebase performs on a battery
     (fault injection drains batteries, LEACH cross-charges cluster heads,
-    analysis sums ``spent``).  Scalars come back as Python floats, so
-    downstream arithmetic is literally the same operations the object
-    path performs.
+    analysis sums ``spent``).  Scalars come back as Python floats.
     """
 
     __slots__ = ("_store", "_i")
@@ -433,7 +402,7 @@ class EnergyView(object):
         object.__setattr__(self, "_store", store)
         object.__setattr__(self, "_i", i)
 
-    # -- EnergyAccount fields ------------------------------------------
+    # -- fields ----------------------------------------------------------
     @property
     def capacity(self) -> float:
         return float(self._store.capacity[self._i])
@@ -471,7 +440,7 @@ class EnergyView(object):
     def on_death(self, hook: Optional[Callable[[], None]]) -> None:
         self._store._death_hooks[self._i] = hook
 
-    # -- EnergyAccount API ---------------------------------------------
+    # -- account API -----------------------------------------------------
     @property
     def alive(self) -> bool:
         return bool(self._store.energy_alive[self._i])
@@ -497,12 +466,13 @@ class EnergyView(object):
 
 
 class NodeView(object):
-    """One store row presented as a :class:`~repro.sim.node.Node`.
+    """One store row presented as a network node.
 
     ``node_id`` and ``kind`` are plain attributes (immutable per row);
     everything stateful routes through the store, including the
-    edge-detected alive-listener contract the network's maintained masks
-    rely on.
+    edge-detected alive-listener contract the network's caches rely on.
+    Position lives in the :class:`~repro.sim.network.Network` arrays;
+    behaviour lives in the protocol that registers ``handler``.
     """
 
     __slots__ = ("_store", "node_id", "kind")
@@ -541,25 +511,26 @@ class NodeView(object):
     def energy(self) -> EnergyView:
         return self._store.energy_view(self.node_id)
 
-    @energy.setter
-    def energy(self, account) -> None:
-        if not isinstance(account, EnergyView):
-            self._store.load_energy(self.node_id, account)
-
-    # -- Node API --------------------------------------------------------
+    # -- node API --------------------------------------------------------
     def bind_alive_listener(self, listener: Callable[[int, bool], None]) -> None:
-        """Register ``listener(node_id, alive)``; same edge-detection
-        contract as :meth:`repro.sim.node.Node.bind_alive_listener`."""
+        """Register ``listener(node_id, alive)``, fired once per actual
+        liveness flip (battery death, fail/recover, sleep/wake)."""
         self._store.bind_alive_listener(self.node_id, listener)
 
     @property
     def alive(self) -> bool:
+        """True when the node can participate in the network.
+
+        A sleeping node (topology control, Section 4.4) has its radio
+        off until woken; a failed node neither sends nor receives but
+        keeps its residual energy (hardware fault, not exhaustion).
+        """
         return self._store.alive_list[self.node_id]
 
     @property
     def died_at(self) -> Optional[float]:
-        """Battery-death time, or None while the battery lives (the
-        same contract as ``Node.died_at`` on the object path)."""
+        """Battery-death time, or None while the battery lives.  Injected
+        failures keep residual energy and leave this None."""
         v = self._store.died_at[self.node_id]
         return None if math.isnan(v) else float(v)
 
@@ -577,7 +548,9 @@ class NodeView(object):
 
     def recover(self) -> bool:
         """Clear an injected failure; returns whether the node is alive
-        afterwards (battery exhaustion is permanent, faults are not)."""
+        afterwards (battery exhaustion is permanent, faults are not).
+        Callers that rejoin the node to a protocol (the fault injector)
+        must check the return value before re-announcing."""
         self.failed = False
         return self.alive
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, field, fields, replace as dc_replace
 from typing import Any, Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -41,7 +41,6 @@ from repro.sim.energy import EnergyModel
 from repro.sim.engine import Simulator
 from repro.sim.mobility import FeasiblePlaces
 from repro.sim.network import (
-    SPATIAL_INDEXES,
     Network,
     build_sensor_network,
     grid_deployment,
@@ -69,31 +68,20 @@ __all__ = [
 class WorldConfig:
     """Execution configuration of a world, as one serializable value.
 
-    These are the toggles that select *how* a world runs, never *what* it
-    computes: every combination must produce bit-identical metrics rows,
-    RNG streams and conservation ledgers (the equivalence suites hold
-    each axis to that).  Consolidating them in one frozen dataclass means
-    experiments thread a single ``world`` value into their
-    :class:`~repro.runner.spec.ExperimentSpec` params — so SoA and
-    object-path runs hash to distinct cache keys and replay independently
-    — instead of sprinkling ``audit=``/``spatial_index=`` kwargs through
-    every entry point.
+    Every world runs one physics: node state in a
+    :class:`~repro.sim.state.NodeStateStore`, the cell-grid spatial index,
+    and the channel's fan-out (see :class:`~repro.sim.radio.Channel`).
+    These fields add auditing, fault injection and sharded execution on
+    top.  Experiments thread a single ``world`` value into their
+    :class:`~repro.runner.spec.ExperimentSpec` params, so ``audit`` and
+    ``faults`` reach the cache key; the sharding fields select only how a
+    run executes and are left out of it.  Unknown field names fail in
+    :meth:`from_param` and in the constructor alike, and experiment entry
+    points reject bare ``audit`` or ``spatial_index`` keyword arguments
+    with ``TypeError``.
 
     Attributes
     ----------
-    vectorized:
-        Batch per-neighbor fan-out math with NumPy (PR 2).  ``False`` is
-        the scalar reference loop.
-    soa:
-        Keep node state in a :class:`~repro.sim.state.NodeStateStore`
-        and drain same-timestamp broadcast deliveries in batches.
-        ``False`` is the per-object reference path.  Worlds whose radio
-        observes the medium (CSMA or collision detection) automatically
-        fall back to per-event delivery even with ``soa=True``; the
-        store still carries their node state.
-    spatial_index:
-        ``"grid"`` (incremental) or ``"bruteforce"`` (reference) — see
-        :class:`~repro.sim.network.Network`.
     audit:
         ``True`` forces the packet-conservation ledger on, ``False``
         forces it off, ``None`` defers to the ``REPRO_AUDIT`` default.
@@ -103,11 +91,11 @@ class WorldConfig:
     shards:
         Number of worker processes a sharded execution decomposes the
         field into (:mod:`repro.shard`; ``1`` = ordinary in-process
-        execution).  Like every other toggle this selects *how* the
-        world runs, never *what* it computes — a sharded run replays
-        bit-identically to the single-process one, which is why the
-        runner's cache key deliberately ignores it (sharded and
-        single-process cells share cache entries).  Direct
+        execution).  This selects *how* the world runs, never *what* it
+        computes — a sharded run replays bit-identically to the
+        single-process one, which is why the runner's cache key
+        deliberately ignores it (sharded and single-process cells share
+        cache entries).  Direct
         :class:`WorldBuilder` builds record the value but always build
         the in-process stack; :func:`repro.shard.run_sharded` and the
         experiments that support sharding are the executors that honor
@@ -119,13 +107,10 @@ class WorldConfig:
         ``checkpoint_every`` windows and can respawn crashed workers
         from the last snapshot — or cold-resume a new invocation via
         ``resume_from``.  Like ``shards`` these select *how* the world
-        runs (a checkpointed run is bit-identical to an unchekpointed
+        runs (a checkpointed run is bit-identical to an uncheckpointed
         one) and are ignored by the runner's cache key.
     """
 
-    vectorized: bool = True
-    soa: bool = True
-    spatial_index: str = "grid"
     audit: Optional[bool] = None
     faults: Optional[Any] = None
     shards: int = 1
@@ -133,11 +118,6 @@ class WorldConfig:
     checkpoint_every: int = 8
 
     def __post_init__(self) -> None:
-        if self.spatial_index not in SPATIAL_INDEXES:
-            raise ConfigurationError(
-                f"unknown spatial index {self.spatial_index!r}; "
-                f"choose from {SPATIAL_INDEXES}"
-            )
         if not isinstance(self.shards, int) or isinstance(self.shards, bool) or self.shards < 1:
             raise ConfigurationError(
                 f"shards must be a positive integer, got {self.shards!r}"
@@ -159,20 +139,14 @@ class WorldConfig:
 
             if not isinstance(self.faults, FaultPlan):
                 object.__setattr__(self, "faults", FaultPlan.from_param(self.faults))
-        # Shard-incompatible compositions fail where the config is
+        # A shard-incompatible composition fails where the config is
         # written, not windows-deep inside a worker (repro.shard applies
-        # the same checks against its final shard count).
-        if self.shards > 1:
-            if not self.soa:
-                raise ConfigurationError(
-                    "shards > 1 requires soa=True (halo alive/route mirroring "
-                    "and per-node counters live on the struct-of-arrays store)"
-                )
-            if self.faults is not None:
-                raise ConfigurationError(
-                    "shards > 1 cannot arm a fault plan: the injector would "
-                    "fire on every shard's replicated copy of a node"
-                )
+        # the same check against its final shard count).
+        if self.shards > 1 and self.faults is not None:
+            raise ConfigurationError(
+                "shards > 1 cannot arm a fault plan: the injector would "
+                "fire on every shard's replicated copy of a node"
+            )
 
     def replace(self, **changes) -> "WorldConfig":
         """A copy with ``changes`` applied (fluent-builder backend)."""
@@ -186,12 +160,21 @@ class WorldConfig:
         form as produced by :func:`~repro.sim.serialize.to_jsonable`
         (the shape a config takes after a trip through the runner's
         JSONL cache), or ``None``.  Anything else — in particular a
-        hand-rolled bare dict — is rejected, so a typo'd field name
-        fails loudly instead of silently running the default config.
+        hand-rolled bare dict — is rejected, and so is a tagged form
+        naming a field the config does not have, so a typo'd (or
+        removed) field name fails loudly instead of silently running
+        the default config.
         """
         if value is None or isinstance(value, cls):
             return value
         if isinstance(value, dict) and value.get("__dataclass__") == cls.__name__:
+            known = {f.name for f in fields(cls)}
+            unknown = sorted(set(value.get("fields", {})) - known)
+            if unknown:
+                raise ConfigurationError(
+                    f"unknown WorldConfig field(s) {unknown}; "
+                    f"known fields are {sorted(known)}"
+                )
             cfg = from_jsonable(value)
             if isinstance(cfg, cls):
                 return cfg
@@ -402,8 +385,8 @@ class WorldBuilder:
     ) -> "WorldBuilder":
         """Arbitrary node mix (mesh tiers: gateways/routers/base stations).
 
-        Construction is deferred to :meth:`build` so later builder calls
-        (``comm_range``, ``spatial_index``) still apply.
+        Construction is deferred to :meth:`build` so a later
+        :meth:`comm_range` call still applies.
         """
         self._node_spec = (np.asarray(positions, dtype=float), list(kinds), comm_range)
         return self
@@ -468,11 +451,9 @@ class WorldBuilder:
         return self
 
     # -- execution configuration ---------------------------------------
-    # The scattered per-toggle fields of earlier revisions now live in a
-    # single WorldConfig; the fluent methods below survive as thin
-    # wrappers so call sites read the same, and configure() swaps the
-    # whole value at once (experiments thread exactly that value into
-    # their ExperimentSpec params / cache keys).
+    # One WorldConfig value; audit()/faults() are thin wrappers over it,
+    # and configure() swaps the whole value at once (experiments thread
+    # exactly that value into their ExperimentSpec params / cache keys).
     @property
     def config(self) -> WorldConfig:
         """The execution configuration this builder will apply."""
@@ -497,34 +478,6 @@ class WorldBuilder:
         ``audit(False)`` opts a world out even under ``REPRO_AUDIT=1``.
         """
         self._config = self._config.replace(audit=enabled)
-        return self
-
-    def scalar_fanout(self) -> "WorldBuilder":
-        """Use the reference per-neighbor radio loop (benchmarks/tests)."""
-        self._config = self._config.replace(vectorized=False)
-        return self
-
-    def soa(self, enabled: bool = True) -> "WorldBuilder":
-        """Toggle the struct-of-arrays node-state store (default on).
-
-        ``soa(False)`` selects the per-object reference path — the same
-        kind of escape hatch as ``spatial_index("bruteforce")`` and
-        :meth:`scalar_fanout`.  Ignored when :meth:`network` supplies an
-        already-built topology (its layout is fixed at construction).
-        """
-        self._config = self._config.replace(soa=enabled)
-        return self
-
-    def spatial_index(self, index: str) -> "WorldBuilder":
-        """Neighbor maintenance strategy for built topologies.
-
-        ``"grid"`` (default) — incremental cell-grid index with in-place
-        graph patching and CSR hop queries; ``"bruteforce"`` — the dense
-        reference implementation with full invalidation (benchmarks and
-        equivalence tests).  Ignored when :meth:`network` supplies an
-        already-built topology.
-        """
-        self._config = self._config.replace(spatial_index=index)
         return self
 
     # -- extras ---------------------------------------------------------
@@ -559,16 +512,12 @@ class WorldBuilder:
             )
         if self._network is not None:
             return self._network
-        cfg = self._config
         if self._node_spec is not None:
             positions, kinds, spec_range = self._node_spec
             rng = spec_range if spec_range is not None else self._comm_range
             if rng is None:
                 raise ConfigurationError("nodes() needs a comm_range (argument or comm_range())")
-            return Network(
-                positions, kinds, comm_range=rng,
-                index=cfg.spatial_index, soa=cfg.soa,
-            )
+            return Network(positions, kinds, comm_range=rng)
         if self._sensor_positions is None:
             raise ConfigurationError("no topology: call network(), nodes(), sensors() or a deployment method")
         if self._gateway_positions is None:
@@ -583,8 +532,6 @@ class WorldBuilder:
             self._gateway_positions,
             comm_range=comm_range,
             sensor_battery=self._sensor_battery,
-            index=cfg.spatial_index,
-            soa=cfg.soa,
         )
 
     def build(self) -> World:
@@ -607,14 +554,7 @@ class WorldBuilder:
             # a queued or unicast-in-flight datum can never progress, so
             # it must already be delivered or terminally dropped.
             sim.add_idle_hook(metrics._audit_idle_hook)
-        channel = Channel(
-            sim,
-            network,
-            self._radio or IEEE802154,
-            self._energy_model,
-            metrics,
-            vectorized=cfg.vectorized,
-        )
+        channel = Channel(sim, network, self._radio or IEEE802154, self._energy_model, metrics)
         for recorder in _recorders:
             recorder.track(sim, metrics)
         world = World(

@@ -10,6 +10,15 @@ from repro.sim.network import build_sensor_network, grid_deployment
 from repro.world import WorldBuilder
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--update-golden",
+        action="store_true",
+        default=False,
+        help="rewrite the tests/golden/ pins from the current tree",
+    )
+
+
 def pytest_configure(config):
     # CI's conservation-audit job runs the whole suite with REPRO_AUDIT=1:
     # force audit mode explicitly so every MetricsCollector the tests

@@ -2,8 +2,8 @@
 
 Covers the :mod:`repro.faults` subsystem end to end — serializable
 :class:`FaultPlan` round-trips, injector event semantics on a live
-world, the Gilbert–Elliott bursty-loss chain (including scalar vs
-vectorized fan-out equivalence), zero-window backoff determinism, the
+world, the Gilbert–Elliott bursty-loss chain (including production vs
+oracle fan-out equivalence), zero-window backoff determinism, the
 alive-listener edge detector, clean recovery rejoin, and a hypothesis
 property showing randomized chaos campaigns conserve every datum while
 recovered routes resume delivering.
@@ -34,11 +34,12 @@ from repro.obs.recovery import FaultWindow, recovery_report
 from repro.runner.cache import ResultCache
 from repro.runner.spec import ExperimentSpec, cache_key
 from repro.runner.sweep import SweepRunner
-from repro.sim.energy import EnergyAccount
-from repro.sim.node import Node, NodeKind
+from repro.sim.node import NodeKind
 from repro.sim.radio import IEEE802154, GilbertElliott
 from repro.sim.serialize import dumps, loads
+from repro.sim.state import NodeStateStore
 from repro.world import WorldBuilder
+from tests.oracle import oracle_world
 
 
 def _full_plan() -> FaultPlan:
@@ -243,7 +244,7 @@ class TestGilbertElliott:
         ge = GilbertElliott(p_gb=0.15, p_bg=0.4, loss_good=0.05, loss_bad=0.8)
         radio = dataclasses.replace(IEEE802154.ideal(), burst=ge, arq_retries=2)
 
-        def run(vectorized):
+        def run(oracle):
             builder = (
                 WorldBuilder()
                 .seed(seed)
@@ -253,9 +254,7 @@ class TestGilbertElliott:
                 .radio(radio)
                 .audit(True)
             )
-            if not vectorized:
-                builder.scalar_fanout()
-            world = builder.build()
+            world = oracle_world(builder) if oracle else builder.build()
             spr = SPR(world.sim, world.network, world.channel)
             for r in range(3):
                 for i, s in enumerate(world.network.sensor_ids):
@@ -265,7 +264,7 @@ class TestGilbertElliott:
             return (m.delivery_ratio, dict(m.drops), m.bytes_sent,
                     world.sim.rng.bit_generator.state["state"]["state"])
 
-        assert run(True) == run(False)
+        assert run(False) == run(True)
 
     def test_burst_state_survives_config_swap(self):
         # A link mid-burst when a degrade window closes resumes the chain
@@ -318,8 +317,7 @@ class TestZeroBackoffWindow:
 # ----------------------------------------------------------------------
 class TestAliveListener:
     def _tracked_node(self, capacity=math.inf):
-        node = Node(node_id=0, kind=NodeKind.SENSOR,
-                    energy=EnergyAccount(capacity=capacity))
+        node = NodeStateStore([NodeKind.SENSOR], [capacity]).node_view(0)
         flips = []
         node.bind_alive_listener(lambda nid, alive: flips.append((nid, alive)))
         return node, flips

@@ -9,10 +9,11 @@ from repro.sim.network import build_sensor_network
 from repro.sim.packet import Packet, PacketKind
 from repro.sim.radio import IEEE802154, IEEE80211, Channel, RadioConfig
 from repro.sim.trace import MetricsCollector
+from tests.oracle import ScalarChannel
 
 
 def _setup(loss=0.0, collisions=False, csma=False, comm_range=12.0, seed=1, arq=0,
-           backoff=2e-3, vectorized=True):
+           backoff=2e-3, channel_cls=Channel):
     sensors = np.array([[0.0, 0.0], [10.0, 0.0], [20.0, 0.0]])
     gateway = np.array([[30.0, 0.0]])
     net = build_sensor_network(sensors, gateway, comm_range=comm_range)
@@ -22,7 +23,7 @@ def _setup(loss=0.0, collisions=False, csma=False, comm_range=12.0, seed=1, arq=
         loss_rate=loss, collisions=collisions, csma=csma, arq_retries=arq,
         backoff_window=backoff,
     )
-    ch = Channel(sim, net, cfg, metrics=MetricsCollector(), vectorized=vectorized)
+    ch = channel_cls(sim, net, cfg, metrics=MetricsCollector())
     return sim, net, ch
 
 
@@ -82,15 +83,16 @@ class TestDelivery:
         assert ch.metrics.drops["no_link"] == 1
 
     def test_scalar_fanout_counts_no_link(self):
-        # The scalar path flags the destination during the loop instead of
-        # rescanning the neighbor array; accounting must match vectorized.
-        sim, net, ch = _setup(vectorized=False)
+        # The oracle's scalar loop flags the destination during the loop
+        # instead of rescanning the neighbor array; accounting must match
+        # the production fan-out.
+        sim, net, ch = _setup(channel_cls=ScalarChannel)
         ch.send(0, _data(0, dst=3))
         sim.run()
         assert ch.metrics.drops["no_link"] == 1
 
     def test_scalar_fanout_in_range_no_drop(self):
-        sim, net, ch = _setup(vectorized=False)
+        sim, net, ch = _setup(channel_cls=ScalarChannel)
         got = []
         net.nodes[1].handler = got.append
         ch.send(0, _data(0, dst=1))

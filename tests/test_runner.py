@@ -8,9 +8,11 @@ per cell.
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -93,6 +95,14 @@ class TestCacheKey:
 
     def test_default_version_is_package_version(self):
         assert cache_key("x", {}, 0) == cache_key("x", {}, 0, version=repro.__version__)
+
+    def test_package_version_matches_pyproject(self):
+        # The cache key embeds __version__, so the two must move together.
+        # A regex rather than tomllib: Python 3.10 has no tomllib.
+        pyproject = Path(repro.__file__).resolve().parents[2] / "pyproject.toml"
+        match = re.search(r'^version = "([^"]+)"', pyproject.read_text(), re.MULTILINE)
+        assert match is not None
+        assert match.group(1) == repro.__version__
 
 
 class TestSpec:

@@ -1,14 +1,16 @@
-"""SoA-vs-object equivalence and the NodeStateStore / WorldConfig API.
+"""Production-vs-oracle equivalence and the NodeStateStore / WorldConfig API.
 
-The struct-of-arrays core is an *execution strategy*, never a model
-change: for any scenario — lossy radio, finite batteries, crashes and
-recoveries — a world built with ``soa=True`` must produce bit-identical
-metrics rows, per-node energy ledgers and RNG streams to the per-object
-reference path, and both must pass the packet-conservation audit.  The
-hypothesis property below holds that over randomized fault scenarios;
-the unit tests pin the store's public API (``charge``, ``alive_view``,
-``route_columns``) and the :class:`~repro.world.WorldConfig` parameter
-plumbing (round-trip, cache-key identity, removal of bare kwargs).
+Batched broadcast draining and NumPy fan-out are an *execution
+strategy*, never a model change: for any scenario — lossy radio, finite
+batteries, crashes and recoveries — a production world must produce
+bit-identical metrics rows, per-node energy ledgers and RNG streams to
+the same world on :class:`tests.oracle.ScalarChannel` (per-receiver loop,
+one event per reception), and both must pass the packet-conservation
+audit.  The hypothesis property below holds that over randomized fault
+scenarios; the unit tests pin the store's public API (``charge``,
+``alive_view``, ``route_columns``) and the
+:class:`~repro.world.WorldConfig` parameter plumbing (round-trip,
+cache-key identity, unknown and removed fields, removal of bare kwargs).
 """
 
 import dataclasses
@@ -30,6 +32,7 @@ from repro.sim.radio import IEEE802154
 from repro.sim.serialize import to_jsonable
 from repro.sim.state import NO_ROUTE, NodeStateStore
 from repro.world import WorldBuilder, WorldConfig
+from tests.oracle import oracle_world
 
 N_SENSORS = 14
 
@@ -54,7 +57,7 @@ def _fingerprint(scenario):
     }
 
 
-def _run(soa, *, seed, loss, battery, plan):
+def _run(oracle, *, seed, loss, battery, plan):
     builder = (
         WorldBuilder()
         .seed(seed)
@@ -65,11 +68,10 @@ def _run(soa, *, seed, loss, battery, plan):
         .radio(dataclasses.replace(IEEE802154.ideal(), loss_rate=loss))
         .require_connected(False)
         .audit()
-        .soa(soa)
     )
     if plan is not None:
         builder.faults(plan)
-    world = builder.build()
+    world = oracle_world(builder) if oracle else builder.build()
     spr = world.attach(SPR, ProtocolConfig(table_answering=False))
     for i in range(N_SENSORS):
         world.sim.schedule(0.4 * i + 0.01, spr.send_data, i)
@@ -112,10 +114,10 @@ class TestSoAEquivalence:
         battery=st.sampled_from([math.inf, 0.05]),
         plan=_fault_plans(),
     )
-    def test_soa_is_bit_identical_to_object_path(self, seed, loss, battery, plan):
-        obj = _run(False, seed=seed, loss=loss, battery=battery, plan=plan)
-        soa = _run(True, seed=seed, loss=loss, battery=battery, plan=plan)
-        assert obj == soa
+    def test_production_is_bit_identical_to_oracle(self, seed, loss, battery, plan):
+        production = _run(False, seed=seed, loss=loss, battery=battery, plan=plan)
+        oracle = _run(True, seed=seed, loss=loss, battery=battery, plan=plan)
+        assert production == oracle
 
     def test_route_column_mirrors_routing_table(self):
         sensors = np.array([[float(10 * i), 0.0] for i in range(5)])
@@ -198,7 +200,6 @@ class TestNodeStateStore:
 class TestWorldConfigAPI:
     def test_from_param_round_trips_jsonable_form(self):
         cfg = WorldConfig(
-            soa=False,
             audit=True,
             faults=FaultPlan((Crash(node=2, t=1.5),)),
         )
@@ -208,17 +209,28 @@ class TestWorldConfigAPI:
 
     def test_from_param_rejects_bare_dicts(self):
         with pytest.raises(ConfigurationError):
-            WorldConfig.from_param({"soa": False})
+            WorldConfig.from_param({"audit": False})
+
+    @pytest.mark.parametrize(
+        "field", ["bogus", "audti", "soa", "vectorized", "spatial_index"]
+    )
+    def test_from_param_rejects_unknown_fields(self, field):
+        # A typo'd or removed field must not silently yield the default.
+        tagged = {"__dataclass__": "WorldConfig", "fields": {field: 1}}
+        with pytest.raises(ConfigurationError, match=field):
+            WorldConfig.from_param(tagged)
+        with pytest.raises(TypeError):
+            WorldConfig(**{field: 1})
 
     def test_cache_key_separates_execution_configs(self):
         base = cache_key("e", {"world": WorldConfig()}, 0, version="t")
-        soa_off = cache_key(
-            "e", {"world": WorldConfig(soa=False)}, 0, version="t"
+        audited = cache_key(
+            "e", {"world": WorldConfig(audit=True)}, 0, version="t"
         )
         as_jsonable = cache_key(
             "e", {"world": to_jsonable(WorldConfig())}, 0, version="t"
         )
-        assert base != soa_off
+        assert base != audited
         assert base == as_jsonable
         # tuple params keep their historical list encoding
         assert cache_key("e", {"sizes": (50,)}, 0, version="t") == cache_key(
@@ -226,12 +238,13 @@ class TestWorldConfigAPI:
         )
 
     def test_builder_wrappers_update_config(self):
-        b = WorldBuilder().audit(True).scalar_fanout().spatial_index("bruteforce")
-        assert b.config == WorldConfig(
-            vectorized=False, audit=True, spatial_index="bruteforce"
-        )
-        b.configure(WorldConfig(soa=False))
-        assert b.config == WorldConfig(soa=False)
+        plan = FaultPlan((Crash(node=2, t=1.5),))
+        b = WorldBuilder().audit(True).faults(plan)
+        assert b.config == WorldConfig(audit=True, faults=plan)
+        b.configure(WorldConfig(shards=2))
+        assert b.config == WorldConfig(shards=2)
+        for removed in ("scalar_fanout", "soa", "spatial_index"):
+            assert not hasattr(b, removed)
 
     def test_bare_kwargs_path_is_gone(self):
         # The deprecated resolve_world_config shim was removed outright.

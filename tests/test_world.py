@@ -9,6 +9,7 @@ from repro.sim.engine import Simulator
 from repro.sim.network import build_sensor_network
 from repro.sim.radio import IEEE802154, RadioConfig
 from repro.world import WorldBuilder, record_world_events
+from tests.oracle import oracle_world
 
 
 class TestWorldBuilder:
@@ -134,7 +135,7 @@ class TestEventRecorder:
         assert rec.events_processed == 0
 
 
-def _run_grid(vectorized: bool, radio: RadioConfig, seed: int = 7):
+def _run_grid(oracle: bool, radio: RadioConfig, seed: int = 7):
     """A 4x4 grid world on exact (axis-aligned) distances, several flows."""
     builder = (
         WorldBuilder()
@@ -144,9 +145,7 @@ def _run_grid(vectorized: bool, radio: RadioConfig, seed: int = 7):
         .comm_range(10.5)  # axis-aligned links only: distances are exact floats
         .radio(radio)
     )
-    if not vectorized:
-        builder.scalar_fanout()
-    world = builder.build()
+    world = oracle_world(builder) if oracle else builder.build()
     spr = world.attach(SPR)
     for s in (0, 5, 10, 15):
         world.sim.schedule(0.01 * s, spr.send_data, s)
@@ -157,11 +156,11 @@ def _run_grid(vectorized: bool, radio: RadioConfig, seed: int = 7):
 
 
 class TestFanoutEquivalence:
-    """The vectorized fan-out must be bit-identical to the scalar loop."""
+    """The production fan-out must be bit-identical to the oracle's scalar loop."""
 
     def test_ideal_radio_identical(self):
         radio = IEEE802154.ideal()
-        assert _run_grid(True, radio) == _run_grid(False, radio)
+        assert _run_grid(False, radio) == _run_grid(True, radio)
 
     def test_lossy_radio_identical_rng_stream(self):
         lossy = RadioConfig(
@@ -169,13 +168,13 @@ class TestFanoutEquivalence:
             loss_rate=0.3, collisions=False, csma=False,
             backoff_window=0.0, arq_retries=2,
         )
-        a = _run_grid(True, lossy)
-        b = _run_grid(False, lossy)
+        a = _run_grid(False, lossy)
+        b = _run_grid(True, lossy)
         assert a == b
         assert a[1].get("loss", 0) > 0  # the loss draws actually fired
 
     def test_contention_radio_identical(self):
-        assert _run_grid(True, IEEE802154) == _run_grid(False, IEEE802154)
+        assert _run_grid(False, IEEE802154) == _run_grid(True, IEEE802154)
 
 
 if __name__ == "__main__":
