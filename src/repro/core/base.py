@@ -72,11 +72,6 @@ class DiscoveryProtocol(ProtocolPolicy, FloodDiscoveryEngine, DataPlaneForwarder
         self.tables: dict[int, RoutingTable] = {
             n.node_id: RoutingTable(n.node_id) for n in network.nodes
         }
-        #: the network's struct-of-arrays node state — route and
-        #: queue-depth columns mirror protocol state through it
-        self._store = network.store
-        for node_id, table in self.tables.items():
-            table.on_change = functools.partial(self._sync_route_column, node_id, table)
         self._seen_floods: dict[int, set[tuple[int, int]]] = {n.node_id: set() for n in network.nodes}
         self._pending_data: dict[int, list[dict[str, Any]]] = {}
         self._discovery: dict[int, _DiscoveryState] = {}
@@ -105,24 +100,15 @@ class DiscoveryProtocol(ProtocolPolicy, FloodDiscoveryEngine, DataPlaneForwarder
         return self.tables[node_id]
 
     # ------------------------------------------------------------------
-    # struct-of-arrays mirrors
+    # parked data
     # ------------------------------------------------------------------
-    def _sync_route_column(self, node_id: int, table: RoutingTable) -> None:
-        """Mirror ``table.best().next_hop`` into the store route columns."""
-        best = table.best()
-        self._store.note_route(node_id, None if best is None else best.next_hop)
-
     def _queue_pending(self, node_id: int, payload: dict) -> None:
-        """Park a datum awaiting a route, mirroring the queue-depth column."""
+        """Park a datum awaiting a route."""
         self._pending_data.setdefault(node_id, []).append(payload)
-        self._store.note_queued(node_id, 1)
 
     def _take_pending(self, node_id: int) -> list:
         """Drain and return ``node_id``'s parked data (possibly empty)."""
-        pending = self._pending_data.pop(node_id, [])
-        if pending:
-            self._store.note_queued(node_id, -len(pending))
-        return pending
+        return self._pending_data.pop(node_id, [])
 
     # ------------------------------------------------------------------
     # packet dispatch

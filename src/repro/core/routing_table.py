@@ -16,7 +16,7 @@ Three structures, straight from the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Optional
+from typing import Hashable, Iterable, Optional
 
 from repro.exceptions import RoutingError
 
@@ -103,13 +103,6 @@ class RoutingTable:
         self.owner = owner
         self._routes: dict[Hashable, RouteEntry] = {}
         self._forwarding: dict[tuple[int, int], ForwardingEntry] = {}
-        #: no-arg callback fired after any *route* mutation (install that
-        #: changed the table, remove of a present key, clear, purge that
-        #: dropped route rows).  SecMLR forwarding 4-tuples do not fire
-        #: it — they never affect route selection.  The struct-of-arrays
-        #: world uses this to mirror ``best().next_hop`` into the
-        #: :class:`~repro.sim.state.NodeStateStore` route columns.
-        self.on_change: Optional[Callable[[], None]] = None
 
     # ------------------------------------------------------------------
     # route entries
@@ -142,21 +135,16 @@ class RoutingTable:
         if replace_worse_only and current is not None and current.hops <= entry.hops:
             return False
         self._routes[entry.key] = entry
-        if self.on_change is not None:
-            self.on_change()
         return True
 
     def remove(self, key: Hashable) -> None:
-        if self._routes.pop(key, None) is not None and self.on_change is not None:
-            self.on_change()
+        self._routes.pop(key, None)
 
     def clear(self) -> None:
         """Drop every route and forwarding entry (recovered-node rejoin:
         a node returning from a crash cannot trust its pre-crash state)."""
         self._routes.clear()
         self._forwarding.clear()
-        if self.on_change is not None:
-            self.on_change()
 
     def purge_through(self, node_id: int) -> int:
         """Remove all state that routes through (or at) ``node_id``.
@@ -175,8 +163,6 @@ class RoutingTable:
         ]
         for k in stale_fwd:
             del self._forwarding[k]
-        if stale and self.on_change is not None:
-            self.on_change()
         return len(stale) + len(stale_fwd)
 
     def best(self, active_keys: Optional[Iterable[Hashable]] = None) -> Optional[RouteEntry]:

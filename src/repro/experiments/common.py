@@ -120,8 +120,8 @@ def make_uniform_scenario(
 ) -> Scenario:
     """Uniform random deployment with explicit gateway positions.
 
-    ``world`` carries the execution configuration — audit ledger,
-    fault plan, shards — as one
+    ``world`` carries the execution configuration — audit ledger and
+    fault plan — as one
     :class:`~repro.world.WorldConfig` value (or its jsonable form, as it
     arrives from swept :class:`~repro.runner.spec.ExperimentSpec`
     params).  The pre-``WorldConfig`` bare ``spatial_index``/``audit``/

@@ -45,11 +45,6 @@ def cache_key(
     hashed through their tagged :func:`~repro.sim.serialize.to_jsonable`
     form, so the instance and its jsonable round-trip produce the same
     key; tuple/list params keep their historical byte-identical encoding.
-
-    Execution-only knobs that cannot change results are stripped before
-    hashing: ``WorldConfig.shards`` selects *how many processes* run the
-    cell, and a sharded run replays bit-identically to a single-process
-    one, so both variants deliberately share one cache entry.
     """
     identity = {
         "experiment": experiment,
@@ -67,25 +62,15 @@ def _canonical(value):
     """Recursively normalize a params value for hashing.
 
     Dataclasses collapse to their tagged jsonable form (then recurse, so
-    nested configs normalize too); ``WorldConfig``-tagged dicts drop the
-    execution-only fields — ``shards``, ``checkpoint_dir`` and
-    ``checkpoint_every`` select how (and how durably) a cell runs, never
-    what it computes, so checkpointed, sharded and plain runs all share
-    one cache entry.  Everything else passes through untouched —
-    unrecognized containers still fall back to :func:`_encode_param`
-    inside ``json.dumps``, preserving the historical encoding
-    byte-for-byte.
+    nested configs normalize too).  Everything else passes through
+    untouched — unrecognized containers still fall back to
+    :func:`_encode_param` inside ``json.dumps``, preserving the
+    historical encoding byte-for-byte.
     """
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return _canonical(to_jsonable(value))
     if isinstance(value, dict):
-        out = {k: _canonical(v) for k, v in value.items()}
-        if out.get("__dataclass__") == "WorldConfig":
-            fields = out.get("fields")
-            if isinstance(fields, dict):
-                for execution_only in ("shards", "checkpoint_dir", "checkpoint_every"):
-                    fields.pop(execution_only, None)
-        return out
+        return {k: _canonical(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_canonical(v) for v in value]
     return value

@@ -14,15 +14,15 @@ a sharded run replays bit-identically, which the digest-equality tests
 and the merged conservation ledger (:mod:`repro.obs.merge`) assert.
 
 Entry points: :class:`~repro.shard.runner.ShardWorkload` describes the
-deployment + traffic, :func:`~repro.shard.runner.run_sharded` executes
-it with ``WorldConfig(shards=N)`` workers (``shards=1`` falls back to
-the plain single-process path).
+deployment + traffic, ``run_sharded(workload, shards=N)``
+(:func:`~repro.shard.runner.run_sharded`) executes it on ``N`` workers
+(the default ``shards=1`` is the plain single-process path).
 
 Fault tolerance: the coordinator supervises its gang through
 :class:`~repro.shard.supervise.WorkerGang` (deadline-bounded receives,
 structured :class:`~repro.exceptions.ShardWorkerError`, total teardown)
 and, when a :class:`~repro.shard.checkpoint.CheckpointConfig` is
-configured, snapshots the whole gang at window barriers and respawns
+passed, snapshots the whole gang at window barriers and respawns
 from the last committed checkpoint after a crash — deterministically:
 the resumed run's digest and per-node RNG states equal the
 uninterrupted run's.

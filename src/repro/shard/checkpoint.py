@@ -12,7 +12,7 @@ moment where "the whole distributed computation" is a plain value:
   ledger and metrics) pickled as one object, plus the process-global
   packet-``uid`` watermark;
 * at the coordinator — the window counter and the not-yet-injected
-  deliveries / alive flips / route flips.
+  deliveries / alive flips.
 
 Restoring both sides reconstructs the run *exactly*: the resumed
 execution replays the identical event sequence, draws the identical RNG
@@ -43,7 +43,7 @@ import pickle
 import shutil
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -62,7 +62,7 @@ __all__ = [
 
 #: Bump when the snapshot or manifest layout changes; mismatched
 #: checkpoints are rejected, never misread.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _MANIFEST = "MANIFEST.json"
 
@@ -149,12 +149,11 @@ def workload_key(workload, shards: int) -> str:
     Everything that shapes the deterministic execution participates —
     positions (raw float bytes), traffic, protocol and its params,
     radio, world config, battery, seed, rounds, the shard count and the
-    snapshot format version.  Execution-neutral knobs (checkpoint
-    cadence/location, the config's own shard default) are normalized
-    out, so "the same run, checkpointed elsewhere" resolves to the same
-    key.
+    snapshot format version.  Checkpoint cadence and location are
+    arguments of :func:`~repro.shard.runner.run_sharded`, not part of the
+    workload, so "the same run, checkpointed elsewhere" resolves to the
+    same key.
     """
-    cfg = workload.world.replace(shards=1, checkpoint_dir=None, checkpoint_every=8)
     canon = (
         np.ascontiguousarray(np.asarray(workload.sensor_positions, dtype=float)).tobytes(),
         np.ascontiguousarray(np.asarray(workload.gateway_positions, dtype=float)).tobytes(),
@@ -163,7 +162,7 @@ def workload_key(workload, shards: int) -> str:
         str(workload.protocol),
         tuple(sorted(workload.protocol_params.items())),
         workload.radio,
-        cfg,
+        workload.world,
         float(workload.sensor_battery),
         None if workload.seed is None else int(workload.seed),
         tuple(float(t) for t in workload.rounds),

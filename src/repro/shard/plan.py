@@ -6,8 +6,7 @@ belongs to the strip whose half-open interval ``[lo, hi)`` contains its
 ``x`` — ties on a cut go right, so ownership is a total function of
 position.  Strips may be narrower than ``comm_range``: correctness never
 depends on strip width, because cross-shard receptions are routed by the
-*receiver's* owner, not passed neighbor-to-neighbor; narrow strips only
-shrink the interior fast path.
+*receiver's* owner, not passed neighbor-to-neighbor.
 
 The lookahead is the classic conservative bound: any frame sent at time
 ``t`` is received no earlier than ``t`` plus the airtime of the smallest
@@ -122,25 +121,6 @@ class ShardPlan:
         lo, hi = self.strip_bounds(shard)
         x0, y0, x1, y1 = self.bounds
         return (max(lo, x0), y0, min(hi, x1), y1)
-
-    def interior_mask(self, positions: np.ndarray, shard: int) -> np.ndarray:
-        """Owned nodes strictly farther than ``comm_range`` from every cut.
-
-        An interior sender's whole closed-ball neighborhood is owned, so
-        its fan-outs skip the ownership split entirely.  Strict
-        inequality keeps a node exactly ``comm_range`` from a cut out of
-        the mask — its neighbor on the far side at exactly ``comm_range``
-        is a real edge.
-        """
-        positions = np.asarray(positions, dtype=float)
-        x = positions[:, 0]
-        mask = self.owner_of(positions) == shard
-        lo, hi = self.strip_bounds(shard)
-        if math.isfinite(lo):
-            mask &= (x - lo) > self.comm_range
-        if math.isfinite(hi):
-            mask &= (hi - x) > self.comm_range
-        return mask
 
     def halo_shards(self, x: float) -> list[int]:
         """Shards whose strip the closed ball of radius ``comm_range``

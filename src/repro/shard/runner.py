@@ -13,10 +13,8 @@ the ones the single-process run uses.
 Window protocol (conservative, BSP)::
 
     worker  -> ('ready', next_event_time)
-    coord   -> ('advance', grant, deliveries, alive_updates,
-                route_updates)                                 # repeated
-    worker  -> ('window', next_event_time, exports, alive_flips,
-                route_flips)
+    coord   -> ('advance', grant, deliveries, alive_updates)   # repeated
+    worker  -> ('window', next_event_time, exports, alive_flips)
     coord   -> ('finish',)
     worker  -> ('done', metrics, (tx, rx), events_processed, wall_s,
                 rng_states)
@@ -35,10 +33,11 @@ broadcast flood or routed unicast — crosses a strip boundary as an
 exported reception, and every RNG draw (loss, burst, ARQ backoff,
 discovery jitter) comes from the *acting node's* substream
 (:meth:`~repro.sim.engine.Simulator.node_rng`), which is derived from
-the seed alone and therefore identical on every worker.  Route and
-liveness state is owner-authoritative; the halo rows of the
-struct-of-arrays store mirror the owner's ``alive``/``died_at`` and
-``next_hop``/``route_seq`` columns at window barriers.
+the seed alone and therefore identical on every worker.  Route state
+lives in the owner's routing tables and travels only in protocol
+frames; liveness is owner-authoritative, and the halo rows of the
+struct-of-arrays store mirror the owner's ``alive``/``died_at`` columns
+at window barriers.
 
 Barrier-refreshed halo mirrors lag the owner by less than one lookahead
 window.  For liveness this lag is *exactly compensated* by the routing
@@ -61,7 +60,7 @@ structured :class:`~repro.exceptions.ShardWorkerError` within a bounded
 time, and the gang is torn down on every exit path (no orphans, no
 leaked pipes).  With a checkpoint store configured
 (:mod:`repro.shard.checkpoint`) the coordinator snapshots the whole
-gang at barrier every ``checkpoint_every`` windows and, on a retryable
+gang at barrier every ``CheckpointConfig.every`` windows and, on a retryable
 failure, respawns the gang from the last committed checkpoint — up to
 ``max_restarts`` times with exponential backoff.  Because snapshots are
 side-effect-free and taken at global quiescence, a crashed-and-resumed
@@ -140,10 +139,12 @@ class ShardWorkload:
     moves are replicated world state, the NOTIFY flood airs once on the
     moving gateway's owner.  Empty means one round at t=0.
 
-    Construction validates the protocol/radio/world composition
-    immediately (the same :func:`_validate` pass ``run_sharded`` applies
-    to its final shard count), so an unsupported combination fails where
-    the workload is written, not windows-deep inside a worker.
+    Construction validates everything that holds at any shard count —
+    a shard-safe protocol, MLR's schedule and round times — so such a
+    mistake fails where the workload is written.  :func:`run_sharded`
+    repeats the check against its shard count and adds the multi-shard
+    rules (no fault plan, an unobserved medium, strip-stable MLR
+    gateways) before any worker starts.
     """
 
     sensor_positions: np.ndarray
@@ -159,7 +160,7 @@ class ShardWorkload:
     rounds: tuple = ()
 
     def __post_init__(self) -> None:
-        _validate(self, self.world.shards)
+        _validate(self, 1)
 
     @property
     def positions(self) -> np.ndarray:
@@ -257,12 +258,12 @@ def _want_audit(cfg: WorldConfig) -> bool:
 def _validate(workload: ShardWorkload, shards: int) -> None:
     """Reject unsupported workload/shard compositions, loudly and early.
 
-    Called from :meth:`ShardWorkload.__post_init__` (against the world's
-    default shard count) and again from :func:`run_sharded` (against the
-    actual count), so both the construction site and the execution site
-    fail with the supported list in the message.
+    Called from :meth:`ShardWorkload.__post_init__` (at one shard) and
+    again from :func:`run_sharded` (at the requested count), so both the
+    construction site and the execution site fail with the supported
+    list in the message.
     """
-    if not isinstance(shards, int) or shards < 1:
+    if not isinstance(shards, int) or isinstance(shards, bool) or shards < 1:
         raise ConfigurationError(f"shards must be a positive integer, got {shards!r}")
     if workload.protocol not in _SHARD_SAFE_PROTOCOLS:
         raise ConfigurationError(
@@ -313,13 +314,12 @@ def _validate(workload: ShardWorkload, shards: int) -> None:
 def _validate_mlr_mobility(workload: ShardWorkload, shards: int) -> None:
     """Every place a gateway ever occupies must stay in its home strip.
 
-    Node ownership is fixed at round 0 (the plan is built from initial
-    positions), so a gateway that crossed a cut would be simulated by a
-    worker that no longer matches its position — and interior sensors of
-    the strip it entered would deliver to it locally instead of
-    exporting.  Strip-stable schedules keep both invariants: a non-owned
-    node is always beyond the cut, hence > comm_range from every
-    interior sensor.
+    Node ownership and the halo shards that receive a node's alive
+    flips are fixed at round 0 (the plan is built from initial
+    positions).  A gateway that crossed a cut would still be simulated
+    by its home worker, which is not in the halo of the sensors around
+    its new place — so it could miss their deaths.  Strip-stable
+    schedules keep every gateway's neighborhood inside its owner's halo.
     """
     schedule: GatewaySchedule = workload.protocol_params["schedule"]
     positions = workload.positions
@@ -361,7 +361,7 @@ def _build_worker_world(workload: ShardWorkload, defer_audit: bool):
     quiescence mid-window says nothing about cross-shard in-flight data,
     so only the merged ledger is audited (once, at the coordinator).
     """
-    cfg = workload.world.replace(shards=1)
+    cfg = workload.world
     want_audit = _want_audit(cfg)
     if defer_audit:
         cfg = cfg.replace(audit=False)
@@ -424,7 +424,6 @@ def _worker_loop(
         owned = plan.owner_of(positions) == shard_id
         watch = extra["watch"]
         alive_now = extra["alive_now"]
-        route_now = extra["route_now"]
         window_no = int(extra["window"])
         wall_base = float(extra["wall_s"])
         nodes = network.nodes
@@ -432,31 +431,23 @@ def _worker_loop(
     else:
         positions = workload.positions
         owned = plan.owner_of(positions) == shard_id
-        interior = plan.interior_mask(positions, shard_id)
         world, proto = _build_worker_world(workload, defer_audit=True)
         sim, channel, network = world.sim, world.channel, world.network
-        if workload.protocol == "mlr":
-            # Gateways relocate between rounds: their round-0 interior
-            # status goes stale the moment they move, so they always take
-            # the split path (mobility is validated strip-stable, keeping
-            # the static ownership mask correct).
-            interior[list(network.gateway_ids)] = False
-        channel.configure_sharding(owned, interior)
+        channel.configure_sharding(owned)
         _schedule_rounds(sim, proto, workload)
         for i, (when, src) in enumerate(workload.traffic):
             if owned[src]:
                 sim.schedule_at(float(when), proto.send_data, int(src), None, i + 1)
 
-        # Watch set: owned nodes whose aliveness and route columns other
-        # shards can observe — everything in the comm_range band around
-        # this strip's boundary.
+        # Watch set: owned nodes whose aliveness other shards can
+        # observe — everything in the comm_range band around this
+        # strip's boundary.
         grid = CellGrid(positions, workload.comm_range)
         band = grid.cells_in_band(plan.strip_rect(shard_id), workload.comm_range)
         watch = [int(i) for i in band if owned[i]]
         nodes = network.nodes
         store = network.store
         alive_now = {i: bool(nodes[i].alive) for i in watch}
-        route_now = {i: int(store.route_seq[i]) for i in watch}
         window_no = 0
         wall_base = 0.0
 
@@ -472,7 +463,6 @@ def _worker_loop(
                 extra={
                     "watch": watch,
                     "alive_now": alive_now,
-                    "route_now": route_now,
                     "window": window_no,
                     "wall_s": wall_base + (time.perf_counter() - t0),
                 },
@@ -480,34 +470,23 @@ def _worker_loop(
             _atomic_write_bytes(Path(msg[1]), blob)
             conn.send(("saved", shard_id))
             continue
-        _, grant, deliveries, alive_updates, route_updates = msg
+        _, grant, deliveries, alive_updates = msg
         if alive_updates:
             store.mirror_alive(
                 [i for i, _, _ in alive_updates],
                 [up for _, up, _ in alive_updates],
                 [t for _, _, t in alive_updates],
             )
-        if route_updates:
-            store.mirror_route(
-                [i for i, _, _ in route_updates],
-                [hop for _, hop, _ in route_updates],
-                [seq for _, _, seq in route_updates],
-            )
         for arrive, receiver, sender, packet, attempt in deliveries:
             channel.deliver_remote(arrive, receiver, sender, packet, attempt)
         sim.run(until=grant, inclusive=False)
         window_no += 1
         flips = []
-        routes = []
         for i in watch:
             up = bool(nodes[i].alive)
             if up != alive_now[i]:
                 alive_now[i] = up
                 flips.append((i, up, float(store.died_at[i])))
-            seq = int(store.route_seq[i])
-            if seq != route_now[i]:
-                route_now[i] = seq
-                routes.append((i, int(store.next_hop[i]), seq))
         if chaos is not None:
             # State advanced, barrier unreported — the most adversarial
             # crash point (see HarnessChaos).
@@ -516,7 +495,7 @@ def _worker_loop(
             if chaos.delay_shard == shard_id and window_no == chaos.delay_window:
                 time.sleep(chaos.delay_s)
         conn.send(
-            ("window", sim.next_event_time, channel.take_shard_exports(), flips, routes)
+            ("window", sim.next_event_time, channel.take_shard_exports(), flips)
         )
 
     tx, rx = store.counter_columns()
@@ -545,34 +524,25 @@ def _mp_context():
         return multiprocessing.get_context("spawn")
 
 
-def _resolve_checkpoint(
-    workload: ShardWorkload, checkpoint, resume_from
-) -> Optional[CheckpointConfig]:
-    """Checkpointing for this run: explicit arg > WorldConfig > resume path.
+def _resolve_checkpoint(checkpoint, resume_from) -> Optional[CheckpointConfig]:
+    """Checkpointing for this run: the explicit arg, else the resume path.
 
     A bare path string is promoted to a :class:`CheckpointConfig` with
-    the world's cadence; ``resume_from`` alone implies its own base dir
+    the default cadence; ``resume_from`` alone implies its own base dir
     as the store (so the resumed run keeps checkpointing into the same
     tree it is restoring from).
     """
     if isinstance(checkpoint, CheckpointConfig):
         return checkpoint
     if isinstance(checkpoint, (str, Path)):
-        return CheckpointConfig(
-            dir=str(checkpoint), every=workload.world.checkpoint_every
-        )
+        return CheckpointConfig(dir=str(checkpoint))
     if checkpoint is not None:
         raise ConfigurationError(
             f"checkpoint must be a CheckpointConfig, a directory path or None, "
             f"got {checkpoint!r}"
         )
-    cfg = workload.world
-    if cfg.checkpoint_dir is not None:
-        return CheckpointConfig(dir=cfg.checkpoint_dir, every=cfg.checkpoint_every)
     if resume_from is not None:
-        return CheckpointConfig(
-            dir=str(base_dir_for(resume_from)), every=cfg.checkpoint_every
-        )
+        return CheckpointConfig(dir=str(base_dir_for(resume_from)))
     return None
 
 
@@ -654,13 +624,11 @@ def _coordinate(
                 )
             pending = coord["pending"]
             pending_alive = coord["pending_alive"]
-            pending_routes = coord["pending_routes"]
             in_flight = coord["in_flight"]
             windows = int(coord["windows"])
         else:
             pending = [[] for _ in range(shards)]
             pending_alive = [[] for _ in range(shards)]
-            pending_routes = [[] for _ in range(shards)]
             in_flight = []
             windows = 0
         while True:
@@ -682,12 +650,11 @@ def _coordinate(
             for s in range(shards):
                 gang.send(
                     s,
-                    ("advance", grant, pending[s], pending_alive[s], pending_routes[s]),
+                    ("advance", grant, pending[s], pending_alive[s]),
                     phase="advance",
                 )
             pending = [[] for _ in range(shards)]
             pending_alive = [[] for _ in range(shards)]
-            pending_routes = [[] for _ in range(shards)]
             in_flight = []
             for s in range(shards):
                 msg = gang.recv(s, "window")
@@ -699,17 +666,11 @@ def _coordinate(
                     for h in plan.halo_shards(float(xs[node])):
                         if h != s:
                             pending_alive[h].append((node, up, died))
-                for node, hop, seq in msg[4]:
-                    for h in plan.halo_shards(float(xs[node])):
-                        if h != s:
-                            pending_routes[h].append((node, hop, seq))
             for lst in pending:
                 # Deterministic injection order regardless of which
                 # shard reported first: by (arrive, receiver).
                 lst.sort(key=lambda e: (e[0], e[1]))
             for lst in pending_alive:
-                lst.sort()
-            for lst in pending_routes:
                 lst.sort()
 
             if store is not None and windows % store.config.every == 0:
@@ -731,7 +692,6 @@ def _coordinate(
                         "nexts": list(nexts),
                         "pending": pending,
                         "pending_alive": pending_alive,
-                        "pending_routes": pending_routes,
                         "in_flight": list(in_flight),
                     },
                 )
@@ -747,7 +707,7 @@ def _coordinate(
 
 def run_sharded(
     workload: ShardWorkload,
-    shards: Optional[int] = None,
+    shards: int = 1,
     trace_path: Optional[str] = None,
     max_windows: Optional[int] = None,
     supervision: Optional[SupervisionConfig] = None,
@@ -757,11 +717,11 @@ def run_sharded(
 ) -> ShardRunResult:
     """Execute ``workload`` across ``shards`` worker processes.
 
-    ``shards`` defaults to ``workload.world.shards``; ``1`` runs the
-    plain single-process path (same digest, same cache identity).  Under
-    audit mode the merged ledger is strictly audited at the end — a
-    violation raises :class:`~repro.exceptions.ConservationError`, the
-    same contract the single-process idle hook enforces at quiescence.
+    ``shards`` is the one place the worker count is set; ``1`` (the
+    default) runs the plain single-process path.  Under audit mode the
+    merged ledger is strictly audited at the end — a violation raises
+    :class:`~repro.exceptions.ConservationError`, the same contract the
+    single-process idle hook enforces at quiescence.
     ``max_windows`` guards against livelock in the window protocol
     (default: one million barriers).  ``trace_path`` writes a JSON cell
     record at the path plus one fragment per shard
@@ -774,9 +734,8 @@ def run_sharded(
         deadline, restart budget, backoff.  Defaults apply when omitted.
     ``checkpoint``
         A :class:`~repro.shard.checkpoint.CheckpointConfig` or a bare
-        directory path; falls back to the workload's
-        ``world.checkpoint_dir`` / ``checkpoint_every``.  When set, the
-        gang snapshots at barrier every ``every`` windows and retryable
+        directory path (default cadence).  When set, the gang
+        snapshots at barrier every ``every`` windows and retryable
         worker failures (death, deadline) respawn from the last
         committed checkpoint — remote Python exceptions re-raise
         immediately (deterministic; a retry would replay them).
@@ -788,11 +747,9 @@ def run_sharded(
         Test-only :class:`~repro.shard.supervise.HarnessChaos`, armed on
         the first gang generation only.
     """
-    if shards is None:
-        shards = workload.world.shards
     _validate(workload, shards)
     supervision = supervision or SupervisionConfig()
-    ckpt_cfg = _resolve_checkpoint(workload, checkpoint, resume_from)
+    ckpt_cfg = _resolve_checkpoint(checkpoint, resume_from)
     if shards == 1:
         if resume_from is not None or chaos is not None:
             raise ConfigurationError(

@@ -27,9 +27,10 @@ struct-of-arrays hot path is a small batching contract:
 * :meth:`Simulator.peek_key` exposes the ``(time, seq)`` key of the next
   pending event, letting a drain callback process consecutive batch
   entries *only while nothing else would have fired between them*;
-* :meth:`Simulator.advance_clock` / :meth:`Simulator.push_event_at` let
-  the drain micro-step the clock through its entries and park the
-  remainder back on the heap under the original sequence number.
+* :meth:`Simulator.push_event_at` lets the drain park the remainder
+  back on the heap under the original sequence number (the drain
+  micro-steps the clock through its entries by writing ``_now``
+  directly, see :meth:`repro.sim.radio.Channel._pump`).
 
 Together these make the batched path a pure re-ordering of *work inside
 one process loop*, never of simulated causality: every batched entry
@@ -307,19 +308,6 @@ class Simulator:
             return (when, seq)
         return None
 
-    def advance_clock(self, when: float) -> None:
-        """Micro-step the clock to ``when`` from inside a batch drain.
-
-        Only forward moves are allowed; the drain uses this so handlers
-        invoked for batched entries observe the same :attr:`now` they
-        would have seen as individual events.
-        """
-        if when < self._now:
-            raise SimulationError(
-                f"cannot move the clock backwards (when={when!r}, now={self._now!r})"
-            )
-        self._now = when
-
     def push_event_at(
         self, when: float, seq: int, fn: Callable[..., None], *args: Any
     ) -> Event:
@@ -385,21 +373,6 @@ class Simulator:
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-
-    def checkpoint_state(self) -> dict:
-        """Compact jsonable summary of engine state for checkpoint manifests.
-
-        Diagnostic only (the authoritative state travels in the pickled
-        snapshot): lets a human — or a resume validator — eyeball what a
-        checkpoint contains without unpickling worlds.
-        """
-        return {
-            "now": self._now,
-            "seq": self._seq,
-            "pending": len(self._queue),
-            "events_processed": self._events_processed,
-            "node_streams": len(self._node_rngs),
-        }
 
     # ------------------------------------------------------------------
     # execution

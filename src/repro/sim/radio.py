@@ -186,7 +186,6 @@ class Channel:
         # deliver only to owned receivers; receptions bound for other
         # shards are exported as timestamped messages instead.
         self._shard_owned: Optional[np.ndarray] = None
-        self._shard_interior: Optional[np.ndarray] = None
         self._shard_out: list[tuple] = []
         # Gilbert–Elliott chain state per directed link: True = bad
         # (inside a burst).  Links start in the model's ``start_bad``
@@ -239,33 +238,26 @@ class Channel:
     # ------------------------------------------------------------------
     # sharded execution (spatial domain decomposition, repro.shard)
     # ------------------------------------------------------------------
-    def configure_sharding(
-        self, owned: np.ndarray, interior: Optional[np.ndarray] = None
-    ) -> None:
+    def configure_sharding(self, owned: np.ndarray) -> None:
         """Restrict local delivery to ``owned`` nodes, exporting the rest.
 
-        ``owned`` is a boolean mask over node ids: fan-outs deliver to
-        owned receivers through the normal paths, while receptions bound
-        for non-owned nodes are appended to the export buffer as exact
-        ``(arrive_time, receiver, sender, packet, attempt)`` tuples —
-        the event times the single-process schedule would have used,
-        computed with the same float expressions.  Fan-out membership is
+        ``owned`` is a boolean mask over node ids.  Both fan-outs make
+        their loss draws and compute their event times exactly as they
+        do unsharded; each surviving reception at a non-owned receiver
+        is then appended to the export buffer as an ``(arrive_time,
+        receiver, sender, packet, attempt)`` tuple at the point where it
+        would otherwise be scheduled.  Fan-out membership is
         position-only (:meth:`Network.neighbors` ignores liveness — dead
         receivers drop at delivery time), so exports never depend on the
         halo mirror's alive staleness; the owning shard's delivery path
-        applies the authoritative alive check.  ``interior``
-        optionally marks owned senders whose whole neighborhood is owned
-        (one ``cells_in_band`` query per shard); their fan-outs skip the
-        ownership mask entirely.
+        applies the authoritative alive check.
 
         Loss draws, burst chains, backoff and ARQ jitter all shard
         cleanly because they come from the acting sender's per-node
-        stream (:meth:`Simulator.node_rng`) and are drawn before the
-        ownership split — the sender's owner makes exactly the draws a
-        single-process run would.  Only a *observed medium* (CSMA
-        carrier sensing, receiver-side collisions) cannot shard: the
-        medium is global state no conservative protocol can reproduce
-        locally.
+        stream (:meth:`Simulator.node_rng`), which only the sender's
+        owner advances.  Only an *observed medium* (CSMA carrier
+        sensing, receiver-side collisions) cannot shard: the medium is
+        global state no conservative protocol can reproduce locally.
         """
         if self._medium_observed:
             raise ConfigurationError(
@@ -273,9 +265,6 @@ class Channel:
                 "(the medium is global state)"
             )
         self._shard_owned = np.asarray(owned, dtype=bool)
-        self._shard_interior = (
-            None if interior is None else np.asarray(interior, dtype=bool)
-        )
 
     def owns(self, node: int) -> bool:
         """Whether this process simulates ``node`` authoritatively.
@@ -304,86 +293,6 @@ class Channel:
         charges, death handling and metrics are bit-identical.
         """
         self.sim.schedule_at(arrive, self._deliver_direct, receiver, packet, sender, attempt)
-
-    def _shard_split(
-        self, sender: int, packet: Packet, attempt: int,
-        neighbors: np.ndarray, start: float, end: float,
-    ) -> Optional[tuple[np.ndarray, bool]]:
-        """Partition a fan-out into locally-delivered and exported parts.
-
-        Draw-then-split: when the radio is lossy, the sender's per-node
-        stream is consumed for the *full* intended receiver set in
-        neighbor order — exactly the draws the single-process fan-out
-        makes — and only the survivors are then partitioned by
-        ownership.  Returns ``(owned_neighbors, resolved)`` where
-        ``resolved`` tells the local fan-out that loss draws were
-        already taken, or ``None`` when nothing local remains to do (a
-        unicast whose destination was exported or lost on the way
-        there).  Export times replicate the delivery schedule's float
-        expression ``((end + prop) - now) + now`` elementwise.
-        """
-        owned = self._shard_owned
-        mask = owned[neighbors]
-        cfg = self.config
-        if packet.dst is not None:
-            dst = packet.dst
-            if not owned[dst] and bool((neighbors == dst).any()):
-                # Remote destination: make its loss draw here — the
-                # exact ``random(k)`` batch the local vectorized fan-out
-                # would have taken — then either ship the reception or
-                # count the loss and arm the sender-side ARQ retry.
-                k = int((neighbors == dst).sum())
-                lost = False
-                if cfg.burst is not None:
-                    lost = any(self._burst_losses(sender, [int(dst)] * k))
-                elif cfg.loss_rate > 0.0:
-                    draws = self.sim.node_rng(sender).random(k)
-                    lost = bool((draws < cfg.loss_rate).any())
-                prop = self.network.distance(sender, dst) / _SPEED_OF_LIGHT
-                arrive = end + prop
-                if lost:
-                    self.metrics.on_drop("loss")
-                    self.sim.schedule(
-                        arrive - start, self._maybe_retry, sender, packet, attempt
-                    )
-                    return None
-                self._shard_out.append(
-                    ((arrive - start) + start, int(dst), sender, packet, attempt)
-                )
-                return None
-            # Owned (or absent) destination: the local fan-out makes the
-            # destination's loss draw itself, from the sender's stream —
-            # non-intended neighbors observe nothing under an unobserved
-            # medium, so dropping them changes no draw.
-            return neighbors[mask], False
-        if mask.all() and cfg.loss_rate <= 0.0 and cfg.burst is None:
-            return neighbors, False
-        # Broadcast: draw losses for the full neighbor set first (the
-        # single-process draw), then split the survivors.
-        lost_arr = None
-        if cfg.burst is not None:
-            lost_arr = np.asarray(
-                self._burst_losses(sender, neighbors.tolist()), dtype=bool
-            )
-        elif cfg.loss_rate > 0.0:
-            lost_arr = self.sim.node_rng(sender).random(len(neighbors)) < cfg.loss_rate
-        if lost_arr is not None and lost_arr.any():
-            for _ in range(int(lost_arr.sum())):
-                self.metrics.on_drop("loss")
-            keep = ~lost_arr
-            survivors = neighbors[keep]
-            smask = mask[keep]
-        else:
-            survivors = neighbors
-            smask = mask
-        remote = survivors[~smask]
-        if len(remote):
-            props = self.network.distances_from(sender, remote) / _SPEED_OF_LIGHT
-            times = ((end + props) - start) + start
-            out = self._shard_out
-            for arrive, nb in zip(times.tolist(), remote.tolist()):
-                out.append((arrive, nb, sender, packet, attempt))
-        return survivors[smask], lost_arr is not None
 
     # ------------------------------------------------------------------
     def send(self, sender: int, packet: Packet) -> bool:
@@ -427,9 +336,6 @@ class Channel:
             free = self.medium.earliest_free(hearers, sender, self.sim.now)
             if free > self.sim.now:
                 backoff = self._jitter(sender)
-                # Columnar observability: when this node's current
-                # hold-off expires (absolute time).
-                self._store.backoff[sender] = free + backoff
                 self.sim.schedule(
                     free - self.sim.now + backoff, self._begin_tx, sender, packet, attempt
                 )
@@ -452,31 +358,23 @@ class Channel:
         self.metrics.on_send(packet)
 
         neighbors = self.network.neighbors(sender)
-        resolved = False
-        if self._shard_owned is not None and (
-            self._shard_interior is None or not self._shard_interior[sender]
-        ):
-            split = self._shard_split(sender, packet, attempt, neighbors, start, end)
-            if split is None:
-                return
-            neighbors, resolved = split
         if self._batched and packet.dst is None:
-            self._fanout_batched(sender, packet, neighbors, start, end, resolved)
+            self._fanout_batched(sender, packet, neighbors, start, end)
         else:
-            self._fanout_vectorized(sender, packet, attempt, neighbors, start, end, resolved)
+            self._fanout_vectorized(sender, packet, attempt, neighbors, start, end)
 
     def _fanout_vectorized(
         self, sender: int, packet: Packet, attempt: int,
         neighbors: np.ndarray, start: float, end: float,
-        resolved: bool = False,
     ) -> None:
         """Per-event fan-out: one NumPy pass for distance/propagation/loss.
 
         Loss draws are taken as one batch in neighbor order, exactly the
         sequence a per-receiver scalar loop consumes, so the RNG stream
         and the schedule equal that loop's (the reference in
-        ``tests/oracle.py``).  ``resolved`` means a sharded split already
-        made this frame's draws and ``neighbors`` are all survivors.
+        ``tests/oracle.py``).  Sharded, a surviving reception at a
+        non-owned receiver is exported at the event time it would have
+        been scheduled for instead of being scheduled.
         """
         dst = packet.dst
         n = len(neighbors)
@@ -490,9 +388,7 @@ class Channel:
 
         loss_rate = self.config.loss_rate
         lost_l = None
-        if resolved:
-            pass
-        elif self.config.burst is not None:
+        if self.config.burst is not None:
             if dst is None:
                 lost_l = self._burst_losses(sender, nb_l)
             else:
@@ -518,6 +414,7 @@ class Channel:
         schedule = self.sim.schedule
         now = self.sim.now
         start_l = (start + props).tolist() if interference else None
+        owned = self._shard_owned
         found_dst = dst is None
         for idx in range(n):
             nb = nb_l[idx]
@@ -541,6 +438,10 @@ class Channel:
             if interference:
                 rec = register(nb, start_l[idx], arrive, packet, sender, True, detect)
                 schedule(arrive - now, deliver, nb, rec, sender, attempt)
+            elif owned is not None and not owned[nb]:
+                # Another shard's receiver: ship the exact Event.time
+                # schedule() would have computed.
+                self._shard_out.append((now + (arrive - now), nb, sender, packet, attempt))
             else:
                 # Ideal radio: no carrier sensing, no collisions — the
                 # reception record would never be read, deliver directly.
@@ -556,7 +457,6 @@ class Channel:
     def _fanout_batched(
         self, sender: int, packet: Packet,
         neighbors: np.ndarray, start: float, end: float,
-        resolved: bool = False,
     ) -> None:
         """Broadcast fan-out as one sorted delivery run.
 
@@ -568,7 +468,9 @@ class Channel:
         computed with the same float expression ``schedule`` uses, and
         entries are stably sorted by time.  RNG draws are taken in the
         identical order and shapes, so the run is a pure re-packaging
-        of the per-event schedule.
+        of the per-event schedule.  Sharded, survivors at non-owned
+        receivers are exported with those same times before any seq is
+        reserved.
         """
         n = len(neighbors)
         if n == 0:
@@ -581,9 +483,7 @@ class Channel:
 
         lost = None
         loss_rate = self.config.loss_rate
-        if resolved:
-            pass  # a sharded split already drew; neighbors are survivors
-        elif self.config.burst is not None:
+        if self.config.burst is not None:
             lost = np.asarray(self._burst_losses(sender, neighbors.tolist()), dtype=bool)
         elif loss_rate > 0.0:
             lost = self.sim.node_rng(sender).random(n) < loss_rate
@@ -597,6 +497,16 @@ class Channel:
         else:
             kept_ids = neighbors
             kept_times = ev_times
+        owned = self._shard_owned
+        if owned is not None:
+            local = owned[kept_ids]
+            if not local.all():
+                remote = ~local
+                out = self._shard_out
+                for t, nb in zip(kept_times[remote].tolist(), kept_ids[remote].tolist()):
+                    out.append((t, nb, sender, packet, 0))
+                kept_ids = kept_ids[local]
+                kept_times = kept_times[local]
         k = len(kept_ids)
         if k == 0:
             return
@@ -681,11 +591,11 @@ class Channel:
         the ``run(until=...)`` horizon, the pump re-parks at the next
         entry's original key — the buffer itself stays in place.
 
-        The loop reads ``sim._now``/``sim._seq`` directly rather than
-        through :meth:`Simulator.advance_clock` /
-        :attr:`Simulator.seq_marker` — entry keys are globally
-        nondecreasing by construction, and at ~100k entries per simulated
-        flood the property/method dispatch is measurable.
+        The loop writes ``sim._now`` and reads ``sim._seq`` directly
+        rather than through :attr:`Simulator.seq_marker` — entry keys are
+        globally nondecreasing by construction, so the clock only moves
+        forward, and at ~100k entries per simulated flood the property
+        dispatch is measurable.
         """
         sim = self.sim
         store = self._store

@@ -1,9 +1,8 @@
 """Struct-of-arrays node state: the single home of per-node state.
 
 :class:`NodeStateStore` keeps every per-node scalar — battery columns,
-liveness flags, tx/rx counters, protocol queue depths, the best-route
-summary and CSMA backoff state — in contiguous NumPy arrays (one array
-per column: the classic struct-of-arrays layout).  ``Network.nodes``
+liveness flags and tx/rx counters — in contiguous NumPy arrays (one
+array per column: the classic struct-of-arrays layout).  ``Network.nodes``
 presents each row as a :class:`NodeView` (with its battery as an
 :class:`EnergyView`), which is what protocols, fault injection and
 analysis code talk to; the radio hot path reads and charges the columns
@@ -29,9 +28,8 @@ one derived column, ``alive``, is *maintained*: every mutation that can
 flip liveness (battery death, ``failed``/``sleeping`` writes, halo
 mirroring) funnels through :meth:`NodeStateStore.refresh_alive`, which
 edge-detects against the stored value and fires the per-node listener
-exactly once per actual flip.  Arrays returned by :meth:`alive_view` /
-:meth:`route_columns` are live read-only windows onto the columns: they
-reflect later mutations and must never be written through.
+exactly once per actual flip.  Arrays returned by
+:meth:`energy_columns` are read-only windows onto the columns.
 """
 
 from __future__ import annotations
@@ -49,9 +47,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.packet import Packet
 
 __all__ = ["NodeStateStore", "EnergyView", "NodeView"]
-
-#: Sentinel for "no route installed" in the ``next_hop`` column.
-NO_ROUTE = -1
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -91,23 +86,12 @@ class NodeStateStore:
         order-free, and a list index costs a fraction of a NumPy scalar
         access — :meth:`counter_columns`
         materializes int64 arrays on demand.
-    ``queue_depth`` : int64
-        Payloads waiting in the owning protocol's pending queue.
-    ``next_hop, route_seq`` : int64
-        Best-route summary maintained by the routing layer:
-        ``next_hop`` is the current best entry's first hop
-        (:data:`NO_ROUTE` when none) and ``route_seq`` counts route
-        changes — the columns ROADMAP item 2's shard exchange will
-        ship instead of pickled tables.
-    ``backoff`` : float64
-        Time until which the node's CSMA backoff holds it off the air.
     """
 
     __slots__ = (
         "n", "kinds", "capacity", "remaining", "spent_tx", "spent_rx",
         "spent_idle", "died_at", "energy_alive", "failed", "sleeping",
-        "alive", "finite", "finite_count", "tx_count", "rx_count",
-        "queue_depth", "next_hop", "route_seq", "backoff", "handlers",
+        "alive", "finite", "tx_count", "rx_count", "handlers",
         "alive_list", "finite_list", "fast_list", "_listeners",
         "_death_hooks", "_energy_views",
     )
@@ -132,13 +116,8 @@ class NodeStateStore:
         self.sleeping = np.zeros(n, dtype=bool)
         self.alive = np.ones(n, dtype=bool)
         self.finite = np.isfinite(cap)
-        self.finite_count = int(self.finite.sum())
         self.tx_count: list[int] = [0] * n
         self.rx_count: list[int] = [0] * n
-        self.queue_depth = np.zeros(n, dtype=np.int64)
-        self.next_hop = np.full(n, NO_ROUTE, dtype=np.int64)
-        self.route_seq = np.zeros(n, dtype=np.int64)
-        self.backoff = np.zeros(n, dtype=np.float64)
         self.handlers: list[Optional[Callable[["Packet"], None]]] = [None] * n
         # Python-list mirrors of ``alive`` and ``finite``: the delivery
         # pump checks liveness once per drained entry, and a list index
@@ -156,14 +135,6 @@ class NodeStateStore:
     # ------------------------------------------------------------------
     # public column windows
     # ------------------------------------------------------------------
-    def alive_view(self) -> np.ndarray:
-        """Live read-only window onto the maintained alive column."""
-        return _readonly(self.alive)
-
-    def route_columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only ``(next_hop, route_seq)`` windows (see class docs)."""
-        return _readonly(self.next_hop), _readonly(self.route_seq)
-
     def energy_columns(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only ``(remaining, spent)`` windows; ``spent`` is computed."""
         spent = self.spent_tx + self.spent_rx + self.spent_idle
@@ -194,8 +165,7 @@ class NodeStateStore:
         for arr in (
             self.capacity, self.remaining, self.spent_tx, self.spent_rx,
             self.spent_idle, self.died_at, self.energy_alive, self.failed,
-            self.sleeping, self.alive, self.finite, self.queue_depth,
-            self.next_hop, self.route_seq, self.backoff,
+            self.sleeping, self.alive, self.finite,
         ):
             h.update(np.ascontiguousarray(arr).tobytes())
         h.update(repr(self.tx_count).encode())
@@ -319,18 +289,18 @@ class NodeStateStore:
         return ok
 
     # ------------------------------------------------------------------
-    # batched energy ops (the drain hot path)
+    # batched energy op
     # ------------------------------------------------------------------
+    # No caller in src/; benchmarks/e2e/tracer.py wraps it by name.
     def charge(self, ids: np.ndarray, joules: float, kind: str = "rx") -> None:
         """Charge every node in ``ids`` with ``joules`` as one vector op.
 
         Only valid for a run of *distinct, alive, infinite-capacity*
-        receivers (:meth:`batchable`): an infinite battery's
-        ``remaining`` stays ``inf`` under any finite subtraction, no
-        death can occur, and each ``spent_*`` cell receives exactly one
-        addition, so there is no accumulation order to preserve — which
-        is what makes the vector form bit-identical to per-entry scalar
-        charges.
+        receivers: an infinite battery's ``remaining`` stays ``inf``
+        under any finite subtraction, no death can occur, and each
+        ``spent_*`` cell receives exactly one addition, so there is no
+        accumulation order to preserve — which is what makes the vector
+        form bit-identical to per-entry scalar charges.
         """
         self.remaining[ids] -= joules
         if kind == "rx":
@@ -344,48 +314,6 @@ class NodeStateStore:
             return
         for i in ids:
             counts[i] += 1
-
-    def batchable(self, ids: np.ndarray) -> bool:
-        """Whether :meth:`charge` is valid for this run of receivers:
-        every row alive, none with a finite battery."""
-        if self.finite_count and self.finite[ids].any():
-            return False
-        return bool(self.alive[ids].all())
-
-    # ------------------------------------------------------------------
-    # routing / queue columns (maintained by the protocol layer)
-    # ------------------------------------------------------------------
-    def note_route(self, i: int, next_hop: Optional[int]) -> None:
-        """Record the owner's current best next hop (None = routeless).
-
-        Bumps ``route_seq`` only on actual change, so the column pair
-        doubles as a cheap "did my route move?" signal.
-        """
-        hop = NO_ROUTE if next_hop is None else int(next_hop)
-        if self.next_hop[i] != hop:
-            self.next_hop[i] = hop
-            self.route_seq[i] += 1
-
-    def note_queued(self, i: int, delta: int = 1) -> None:
-        """Adjust the pending-payload depth for node ``i``."""
-        self.queue_depth[i] += delta
-
-    def mirror_route(
-        self, ids: Sequence[int], hops: Sequence[int], seqs: Sequence[int]
-    ) -> None:
-        """Apply authoritative route columns to halo-mirror rows (repro.shard).
-
-        The counterpart of :meth:`mirror_alive` for the routing summary:
-        a non-owned row's table never changes locally (protocol handlers
-        run only on the owner), so its ``next_hop``/``route_seq`` pair is
-        imported wholesale — including the owner's sequence number, which
-        is why this bypasses :meth:`note_route`'s change-detection bump.
-        Observability coherence only: the authoritative route state still
-        travels in the protocol's own control frames.
-        """
-        for i, hop, seq in zip(ids, hops, seqs):
-            self.next_hop[i] = hop
-            self.route_seq[i] = seq
 
 
 class EnergyView(object):

@@ -71,11 +71,12 @@ class WorldConfig:
     Every world runs one physics: node state in a
     :class:`~repro.sim.state.NodeStateStore`, the cell-grid spatial index,
     and the channel's fan-out (see :class:`~repro.sim.radio.Channel`).
-    These fields add auditing, fault injection and sharded execution on
-    top.  Experiments thread a single ``world`` value into their
-    :class:`~repro.runner.spec.ExperimentSpec` params, so ``audit`` and
-    ``faults`` reach the cache key; the sharding fields select only how a
-    run executes and are left out of it.  Unknown field names fail in
+    These fields add auditing and fault injection on top.  Experiments
+    thread a single ``world`` value into their
+    :class:`~repro.runner.spec.ExperimentSpec` params, so both fields
+    reach the cache key.  How many processes run a world is not part of
+    it: :func:`repro.shard.run_sharded` takes the shard count and
+    checkpointing as arguments.  Unknown field names fail in
     :meth:`from_param` and in the constructor alike, and experiment entry
     points reject bare ``audit`` or ``spatial_index`` keyword arguments
     with ``TypeError``.
@@ -88,65 +89,17 @@ class WorldConfig:
     faults:
         Optional :class:`~repro.faults.plan.FaultPlan` (or its jsonable
         form) armed on the built world.
-    shards:
-        Number of worker processes a sharded execution decomposes the
-        field into (:mod:`repro.shard`; ``1`` = ordinary in-process
-        execution).  This selects *how* the world runs, never *what* it
-        computes — a sharded run replays bit-identically to the
-        single-process one, which is why the runner's cache key
-        deliberately ignores it (sharded and single-process cells share
-        cache entries).  Direct
-        :class:`WorldBuilder` builds record the value but always build
-        the in-process stack; :func:`repro.shard.run_sharded` and the
-        experiments that support sharding are the executors that honor
-        it.
-    checkpoint_dir / checkpoint_every:
-        Barrier-checkpointing for sharded executions
-        (:mod:`repro.shard.checkpoint`): when ``checkpoint_dir`` is set,
-        :func:`repro.shard.run_sharded` snapshots the whole gang every
-        ``checkpoint_every`` windows and can respawn crashed workers
-        from the last snapshot — or cold-resume a new invocation via
-        ``resume_from``.  Like ``shards`` these select *how* the world
-        runs (a checkpointed run is bit-identical to an uncheckpointed
-        one) and are ignored by the runner's cache key.
     """
 
     audit: Optional[bool] = None
     faults: Optional[Any] = None
-    shards: int = 1
-    checkpoint_dir: Optional[str] = None
-    checkpoint_every: int = 8
 
     def __post_init__(self) -> None:
-        if not isinstance(self.shards, int) or isinstance(self.shards, bool) or self.shards < 1:
-            raise ConfigurationError(
-                f"shards must be a positive integer, got {self.shards!r}"
-            )
-        if self.checkpoint_dir is not None and not isinstance(self.checkpoint_dir, str):
-            raise ConfigurationError(
-                f"checkpoint_dir must be a path string or None, got {self.checkpoint_dir!r}"
-            )
-        if (
-            not isinstance(self.checkpoint_every, int)
-            or isinstance(self.checkpoint_every, bool)
-            or self.checkpoint_every < 1
-        ):
-            raise ConfigurationError(
-                f"checkpoint_every must be a positive integer, got {self.checkpoint_every!r}"
-            )
         if self.faults is not None:
             from repro.faults.plan import FaultPlan  # deferred: faults builds worlds
 
             if not isinstance(self.faults, FaultPlan):
                 object.__setattr__(self, "faults", FaultPlan.from_param(self.faults))
-        # A shard-incompatible composition fails where the config is
-        # written, not windows-deep inside a worker (repro.shard applies
-        # the same check against its final shard count).
-        if self.shards > 1 and self.faults is not None:
-            raise ConfigurationError(
-                "shards > 1 cannot arm a fault plan: the injector would "
-                "fire on every shard's replicated copy of a node"
-            )
 
     def replace(self, **changes) -> "WorldConfig":
         """A copy with ``changes`` applied (fluent-builder backend)."""

@@ -45,26 +45,23 @@ class ScalarChannel(Channel):
     def _fanout_batched(
         self, sender: int, packet: Packet,
         neighbors: np.ndarray, start: float, end: float,
-        resolved: bool = False,
     ) -> None:
-        self._fanout_scalar(sender, packet, 0, neighbors, start, end, resolved)
+        self._fanout_scalar(sender, packet, 0, neighbors, start, end)
 
     def _fanout_vectorized(
         self, sender: int, packet: Packet, attempt: int,
         neighbors: np.ndarray, start: float, end: float,
-        resolved: bool = False,
     ) -> None:
-        self._fanout_scalar(sender, packet, attempt, neighbors, start, end, resolved)
+        self._fanout_scalar(sender, packet, attempt, neighbors, start, end)
 
     def _fanout_scalar(
         self, sender: int, packet: Packet, attempt: int,
         neighbors: np.ndarray, start: float, end: float,
-        resolved: bool = False,
     ) -> None:
         rng = None
         found_dst = packet.dst is None
         burst_lost = None
-        if not resolved and self.config.burst is not None:
+        if self.config.burst is not None:
             # Nothing else draws from the sender's stream inside the loop,
             # so pre-drawing the chain for the intended receivers equals
             # interleaved per-receiver draws.
@@ -72,7 +69,7 @@ class ScalarChannel(Channel):
                 int(nb) for nb in neighbors if packet.dst is None or packet.dst == nb
             ]
             burst_lost = iter(self._burst_losses(sender, intended_ids))
-        elif not resolved and self.config.loss_rate > 0.0:
+        elif self.config.loss_rate > 0.0:
             rng = self.sim.node_rng(sender)
         for nb in neighbors:
             intended = packet.dst is None or packet.dst == nb

@@ -1,8 +1,8 @@
 """The sharded executor: partition, validation, bit-identity, merging.
 
 The load-bearing property is *execution-strategy transparency*: a run
-with ``WorldConfig(shards=N)`` must be indistinguishable from the
-single-process run on every observable — the order-canonical digest
+with ``run_sharded(workload, shards=N)`` must be indistinguishable from
+the single-process run on every observable — the order-canonical digest
 (frame counters, drops, first deliveries, first death, per-node tx/rx)
 and the conservation report of the merged per-shard ledgers.  The unit
 tests pin the strip partition, the shard-safety validation and the
@@ -40,7 +40,12 @@ from repro.shard import (
     snapshot_world,
     workload_key,
 )
-from repro.shard.runner import _build_worker_world, _schedule_rounds, run_digest
+from repro.shard.runner import (
+    _build_worker_world,
+    _schedule_rounds,
+    _validate,
+    run_digest,
+)
 from repro.sim.mobility import FeasiblePlaces, GatewaySchedule
 from repro.sim.network import uniform_deployment
 from repro.sim.packet import MAC_HEADER_BYTES, Packet, PacketKind
@@ -58,7 +63,7 @@ def _data_packet(origin: int, data_id: int) -> Packet:
 
 def _workload(
     n=150, field=200.0, comm_range=40.0, datums=12, battery=math.inf,
-    seed=3, audit=True, shards=1, protocol="flooding", radio=None,
+    seed=3, audit=True, protocol="flooding", radio=None,
     rounds=(), protocol_params=None,
 ):
     positions = uniform_deployment(n, field, seed=seed)
@@ -70,7 +75,7 @@ def _workload(
         gateway_positions=gateways,
         comm_range=comm_range,
         traffic=traffic,
-        world=WorldConfig(audit=audit, shards=shards),
+        world=WorldConfig(audit=audit),
         radio=IEEE802154.ideal() if radio is None else radio,
         protocol=protocol,
         protocol_params={} if protocol_params is None else protocol_params,
@@ -137,16 +142,6 @@ class TestPlan:
         (cut,) = plan.cuts
         assert plan.owner_of(np.array([[cut, 5.0]]))[0] == 1
 
-    def test_interior_mask_is_strict(self):
-        pos = uniform_deployment(200, 300.0, seed=2)
-        plan = ShardPlan.build(pos, 40.0, 2)
-        interior = plan.interior_mask(pos, 0)
-        owners = plan.owner_of(pos)
-        (cut,) = plan.cuts
-        for i in range(200):
-            expect = owners[i] == 0 and (cut - pos[i, 0]) > 40.0
-            assert bool(interior[i]) == expect
-
     def test_halo_shards_cover_reachable_strips(self):
         pos = uniform_deployment(300, 300.0, seed=4)
         plan = ShardPlan.build(pos, 30.0, 3)
@@ -179,36 +174,6 @@ class TestPlan:
 
 
 # ----------------------------------------------------------------------
-# halo route-column mirroring on the SoA store
-# ----------------------------------------------------------------------
-class TestRouteMirror:
-    def test_mirror_route_overwrites_without_seq_bump(self):
-        from repro.sim.node import NodeKind
-        from repro.sim.state import NodeStateStore
-
-        store = NodeStateStore([NodeKind.SENSOR] * 3, [math.inf] * 3)
-        store.note_route(0, 2)  # a local observation bumps the seq
-        assert store.route_seq[0] == 1
-        store.mirror_route([0, 1], [5, 2], [7, 1])
-        assert list(store.next_hop[:2]) == [5, 2]
-        assert list(store.route_seq[:2]) == [7, 1]
-        # Mirroring imports the owner's sequence wholesale; re-applying
-        # the same state is idempotent, unlike a note_route change-bump.
-        store.mirror_route([0], [5], [7])
-        assert store.route_seq[0] == 7
-
-    def test_note_route_none_clears_to_sentinel(self):
-        from repro.sim.node import NodeKind
-        from repro.sim.state import NO_ROUTE, NodeStateStore
-
-        store = NodeStateStore([NodeKind.SENSOR] * 2, [math.inf] * 2)
-        store.note_route(1, 0)
-        store.note_route(1, None)
-        assert store.next_hop[1] == NO_ROUTE
-        assert store.route_seq[1] == 2
-
-
-# ----------------------------------------------------------------------
 # shard-safety validation
 # ----------------------------------------------------------------------
 class TestValidation:
@@ -236,14 +201,6 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="fault plan"):
             run_sharded(w, shards=2)
 
-    def test_worldconfig_rejects_shard_compositions_at_construction(self):
-        # The same composition rule fires where the *config* is written,
-        # before any workload exists.
-        from repro.faults.plan import Crash, FaultPlan
-
-        with pytest.raises(ConfigurationError, match="fault plan"):
-            WorldConfig(shards=2, faults=FaultPlan((Crash(node=0, t=1.0),)))
-
     def test_rejects_contended_radio(self):
         for bad in (
             dataclasses.replace(IEEE802154.ideal(), csma=True),
@@ -255,13 +212,12 @@ class TestValidation:
 
     def test_lossy_arq_radio_is_shard_safe(self):
         # Loss, burst, ARQ and backoff draw from per-node substreams, so
-        # a sharded WorldConfig accepts them at construction.
+        # the multi-shard rules accept them.
         lossy = dataclasses.replace(
             IEEE802154.ideal(), loss_rate=0.2, arq_retries=2,
             burst=GilbertElliott(p_gb=0.1, p_bg=0.4),
         )
-        w = _workload(radio=lossy, shards=2)
-        assert w.world.shards == 2
+        _validate(_workload(radio=lossy), 2)
 
     def test_mlr_needs_a_schedule_and_sane_rounds(self):
         with pytest.raises(ConfigurationError, match="GatewaySchedule"):
@@ -274,32 +230,37 @@ class TestValidation:
             _mlr_workload(rounds=(0.0, 1.0, 2.0))
 
     def test_rejects_cross_strip_mlr_schedule(self):
+        # The same schedule is fine single-process — the workload
+        # constructs — because ownership never enters the picture at one
+        # shard; the multi-shard rule fires in run_sharded.
+        w = _mlr_workload(cross_strip=True)
         with pytest.raises(ConfigurationError, match="strip-stable"):
-            _mlr_workload(cross_strip=True, shards=2)
-        # The same schedule is fine single-process: ownership never
-        # enters the picture at one shard.
-        assert _mlr_workload(cross_strip=True).world.shards == 1
+            run_sharded(w, shards=2)
 
-    def test_worldconfig_validates_shards(self):
-        assert WorldConfig(shards=4).shards == 4
-        for bad in (0, -1, True, 1.5, "2"):
-            with pytest.raises(ConfigurationError):
-                WorldConfig(shards=bad)
+    @pytest.mark.parametrize("bad", [True, 0, -1, 1.5, "2"])
+    def test_run_sharded_rejects_bad_shard_counts(self, bad):
+        # bool is an int subclass: shards=True must not run one process.
+        with pytest.raises(ConfigurationError, match="positive integer"):
+            run_sharded(_workload(), shards=bad)
 
 
 # ----------------------------------------------------------------------
-# cache-key neutrality: shards is an execution knob, not an identity
+# cache keys: the shard count is a run_sharded argument, not an identity
 # ----------------------------------------------------------------------
 class TestCacheKey:
-    def test_shards_does_not_change_the_cache_key(self):
-        base = cache_key("e", {"world": WorldConfig()}, 0, version="t")
-        assert cache_key("e", {"world": WorldConfig(shards=4)}, 0, version="t") == base
-        # ... in jsonable-dict form too (how swept params arrive).
+    def test_worldconfig_cache_keys_are_pinned(self):
+        """A change to the config's serialized form would silently
+        orphan every cached cell; these keys must not move."""
         from repro.sim.serialize import to_jsonable
 
-        j1 = cache_key("e", {"world": to_jsonable(WorldConfig())}, 0, version="t")
-        j4 = cache_key("e", {"world": to_jsonable(WorldConfig(shards=4))}, 0, version="t")
-        assert j1 == j4 == base
+        pinned = {
+            WorldConfig(): "657400462e692d1d",
+            WorldConfig(audit=True): "34f1764472d8fa95",
+        }
+        for cfg, prefix in pinned.items():
+            assert cache_key("e", {"world": cfg}, 0, version="t").startswith(prefix)
+            j = cache_key("e", {"world": to_jsonable(cfg)}, 0, version="t")
+            assert j.startswith(prefix)
 
     def test_real_execution_knobs_still_separate(self):
         base = cache_key("e", {"world": WorldConfig()}, 0, version="t")
@@ -554,8 +515,8 @@ class TestBitIdentity:
         The tight battery kills relays mid-run; the first death lands
         inside the boundary band (within comm_range of a cut), so the
         flip crosses the pipe protocol and next-hop state goes stale on
-        the far side — exactly the regime the route-mirroring and RERR
-        repair paths exist for.
+        the far side — exactly the regime the delayed death belief and
+        RERR repair paths exist for.
         """
         w = _workload(n=200, datums=40, battery=0.006, seed=11, protocol="spr")
         legs = self._legs(w, (1, 3))
@@ -594,12 +555,9 @@ class TestBitIdentity:
         assert legs[2].rng_states == legs[1].rng_states
         assert legs[3].rng_states == legs[1].rng_states
 
-    def test_worldconfig_shards_selects_the_executor(self):
-        w = _workload()
-        w.world = WorldConfig(audit=True, shards=2)
-        result = run_sharded(w)  # shards taken from the config
-        assert result.shards == 2
-        assert result.digest == run_sharded(w, shards=1).digest
+    def test_run_sharded_defaults_to_one_process(self):
+        result = run_sharded(_workload())
+        assert result.shards == 1 and result.windows == 0
 
     def test_per_shard_parts_account_for_all_events(self):
         legs = self._legs(_workload(), (1, 2))
@@ -613,6 +571,7 @@ class TestBitIdentity:
 # ----------------------------------------------------------------------
 class TestRngPartition:
     @given(
+        protocol=st.sampled_from(["flooding", "spr", "mlr"]),
         loss=st.sampled_from([0.0, 0.1, 0.3]),
         burst=st.booleans(),
         retries=st.integers(min_value=0, max_value=2),
@@ -620,20 +579,27 @@ class TestRngPartition:
     )
     @settings(max_examples=8, deadline=None)
     def test_per_node_draws_identical_at_1_2_3_workers(
-        self, loss, burst, retries, seed
+        self, protocol, loss, burst, retries, seed
     ):
         """Every node's draw sequence is a pure function of (seed, id).
 
         Equal final bit-generator states at 1/2/3 workers mean the
         backoff and Gilbert-Elliott loss draws each node made — count
         and order — were identical on whichever worker simulated it, so
-        the digests cannot diverge through the RNG.
+        the digests cannot diverge through the RNG.  The unicast
+        protocols cover cross-strip ARQ: a frame lost on its way to
+        another worker's receiver arms the sender's retry locally, a
+        surviving one is exported.
         """
         radio = dataclasses.replace(
             IEEE802154.ideal(), loss_rate=loss, arq_retries=retries,
             burst=GilbertElliott(p_gb=0.08, p_bg=0.35) if burst else None,
         )
-        w = _workload(n=90, field=160.0, datums=6, seed=seed, radio=radio)
+        kw = dict(n=90, field=160.0, datums=6, seed=seed, radio=radio)
+        if protocol == "mlr":
+            w = _mlr_workload(**kw)
+        else:
+            w = _workload(protocol=protocol, **kw)
         legs = {s: run_sharded(w, shards=s) for s in (1, 2, 3)}
         assert legs[2].digest == legs[1].digest
         assert legs[3].digest == legs[1].digest
@@ -792,51 +758,27 @@ class TestCheckpointResume:
         assert res.digest == ref.digest
         assert res.rng_states == ref.rng_states
 
-    def test_worldconfig_checkpoint_surface(self, tmp_path):
-        """checkpoint_dir/checkpoint_every on WorldConfig arm the store."""
+    def test_bare_path_checkpoint_surface(self, tmp_path):
+        """A directory path arms the store at the default cadence."""
         w = _workload(seed=2)
         ref = run_sharded(w, shards=2)
-        w_ckpt = dataclasses.replace(
-            w, world=w.world.replace(
-                checkpoint_dir=str(tmp_path), checkpoint_every=3,
-            ),
-        )
+        every = CheckpointConfig(dir=str(tmp_path)).every
         res = run_sharded(
-            w_ckpt, shards=2, chaos=HarnessChaos(kill_shard=1, kill_window=7),
+            w, shards=2, checkpoint=str(tmp_path),
+            chaos=HarnessChaos(kill_shard=1, kill_window=every + 2),
         )
         assert res.restarts == 1
-        assert res.checkpoints > 0
+        assert res.resumed_window == every
         assert res.digest == ref.digest
 
-    def test_workload_key_ignores_execution_strategy(self, tmp_path):
+    def test_workload_key_ignores_execution_strategy(self):
         """The run directory is keyed by physics, not by plumbing."""
         w = _workload(seed=3)
-        w_ckpt = dataclasses.replace(
-            w, world=w.world.replace(
-                checkpoint_dir=str(tmp_path), checkpoint_every=13,
-            ),
-        )
-        assert workload_key(w, 2) == workload_key(w_ckpt, 2)
+        assert workload_key(w, 2) == workload_key(_workload(seed=3), 2)
         # ... but a different shard count is a different resume lineage.
         assert workload_key(w, 2) != workload_key(w, 3)
         # And different physics is a different key.
         assert workload_key(w, 2) != workload_key(_workload(seed=4), 2)
-
-    def test_checkpoint_fields_are_cache_key_neutral(self):
-        """Runner cache keys ignore shards/checkpoint knobs entirely."""
-        base = cache_key("scalability", {"world": WorldConfig(audit=True)}, 0)
-        assert base == cache_key(
-            "scalability",
-            {"world": WorldConfig(audit=True, shards=4)},
-            0,
-        )
-        assert base == cache_key(
-            "scalability",
-            {"world": WorldConfig(
-                audit=True, checkpoint_dir="/anywhere", checkpoint_every=5,
-            )},
-            0,
-        )
 
     def test_resume_with_wrong_shard_count_is_refused(self, tmp_path):
         """A 2-shard lineage cannot silently seed a 3-shard run."""
@@ -877,10 +819,6 @@ class TestCheckpointResume:
             CheckpointConfig(dir="x", every=0)
         with pytest.raises(ConfigurationError):
             CheckpointConfig(dir="x", keep=0)
-        with pytest.raises(ConfigurationError):
-            WorldConfig(checkpoint_every=0)
-        with pytest.raises(ConfigurationError):
-            WorldConfig(checkpoint_dir=7)
 
 
 # ----------------------------------------------------------------------

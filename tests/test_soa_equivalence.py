@@ -7,8 +7,7 @@ bit-identical metrics rows, per-node energy ledgers and RNG streams to
 the same world on :class:`tests.oracle.ScalarChannel` (per-receiver loop,
 one event per reception), and both must pass the packet-conservation
 audit.  The hypothesis property below holds that over randomized fault
-scenarios; the unit tests pin the store's public API (``charge``,
-``alive_view``, ``route_columns``) and the
+scenarios; the unit tests pin the store's batched ``charge`` and the
 :class:`~repro.world.WorldConfig` parameter plumbing (round-trip,
 cache-key identity, unknown and removed fields, removal of bare kwargs).
 """
@@ -30,7 +29,7 @@ from repro.runner.spec import cache_key
 from repro.sim.node import NodeKind
 from repro.sim.radio import IEEE802154
 from repro.sim.serialize import to_jsonable
-from repro.sim.state import NO_ROUTE, NodeStateStore
+from repro.sim.state import NodeStateStore
 from repro.world import WorldBuilder, WorldConfig
 from tests.oracle import oracle_world
 
@@ -119,29 +118,6 @@ class TestSoAEquivalence:
         oracle = _run(True, seed=seed, loss=loss, battery=battery, plan=plan)
         assert production == oracle
 
-    def test_route_column_mirrors_routing_table(self):
-        sensors = np.array([[float(10 * i), 0.0] for i in range(5)])
-        world = (
-            WorldBuilder()
-            .seed(3)
-            .sensors(sensors)
-            .gateways([[50.0, 0.0]])
-            .comm_range(12.0)
-            .ideal_radio()
-            .build()
-        )
-        spr = world.attach(SPR)
-        spr.send_data(0)
-        world.sim.run(until=20.0)
-        store = world.network.store
-        next_hop, route_seq = store.route_columns()
-        for i in range(5):
-            best = spr.routing_table(i).best()
-            expected = NO_ROUTE if best is None else best.next_hop
-            assert next_hop[i] == expected
-        assert next_hop[0] == 1  # the line's only way out
-        assert (route_seq[:5] > 0).all()
-
 
 class TestNodeStateStore:
     def _store(self, capacities):
@@ -162,40 +138,6 @@ class TestNodeStateStore:
         assert a_rx.tolist() == b_rx.tolist() == [1, 0, 1, 1]
         assert a_tx.tolist() == b_tx.tolist() == [0, 0, 0, 0]
 
-    def test_batchable_rejects_finite_and_dead_rows(self):
-        store = self._store([math.inf, math.inf, 0.5])
-        assert store.batchable(np.array([0, 1]))
-        assert not store.batchable(np.array([0, 2]))  # finite battery
-        store.set_failed(0, True)
-        assert not store.batchable(np.array([0, 1]))  # dead row
-
-    def test_alive_view_is_readonly_and_tracks_failures(self):
-        store = self._store([math.inf] * 3)
-        alive = store.alive_view()
-        assert alive.all()
-        with pytest.raises((ValueError, RuntimeError)):
-            alive[0] = False
-        store.set_failed(1, True)
-        assert store.alive_view().tolist() == [True, False, True]
-
-    def test_note_route_bumps_seq_only_on_change(self):
-        store = self._store([math.inf] * 2)
-        next_hop, route_seq = store.route_columns()
-        store.note_route(0, 7)
-        assert (next_hop[0], route_seq[0]) == (7, 1)
-        store.note_route(0, 7)  # same hop: no bump
-        assert route_seq[0] == 1
-        store.note_route(0, None)
-        assert (next_hop[0], route_seq[0]) == (NO_ROUTE, 2)
-        with pytest.raises((ValueError, RuntimeError)):
-            next_hop[0] = 3
-
-    def test_note_queued_accumulates_deltas(self):
-        store = self._store([math.inf])
-        store.note_queued(0, 2)
-        store.note_queued(0, -1)
-        assert store.queue_depth[0] == 1
-
 
 class TestWorldConfigAPI:
     def test_from_param_round_trips_jsonable_form(self):
@@ -212,7 +154,11 @@ class TestWorldConfigAPI:
             WorldConfig.from_param({"audit": False})
 
     @pytest.mark.parametrize(
-        "field", ["bogus", "audti", "soa", "vectorized", "spatial_index"]
+        "field",
+        [
+            "bogus", "audti", "soa", "vectorized", "spatial_index",
+            "shards", "checkpoint_dir", "checkpoint_every",
+        ],
     )
     def test_from_param_rejects_unknown_fields(self, field):
         # A typo'd or removed field must not silently yield the default.
@@ -241,8 +187,8 @@ class TestWorldConfigAPI:
         plan = FaultPlan((Crash(node=2, t=1.5),))
         b = WorldBuilder().audit(True).faults(plan)
         assert b.config == WorldConfig(audit=True, faults=plan)
-        b.configure(WorldConfig(shards=2))
-        assert b.config == WorldConfig(shards=2)
+        b.configure(WorldConfig(audit=False))
+        assert b.config == WorldConfig(audit=False)
         for removed in ("scalar_fanout", "soa", "spatial_index"):
             assert not hasattr(b, removed)
 
