@@ -32,11 +32,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
 
 from _record import bench_record, write_bench
 from repro.experiments.scalability import make_xl_mlr_workload, make_xl_workload
-from repro.shard import CheckpointConfig, run_sharded
+from repro.shard import run_sharded
 
 #: sensors per square meter — one per 30x30 m cell, the paper's density.
 _DENSITY = 1 / 900.0
@@ -104,7 +103,6 @@ def run_benchmark(
     mlr_sensors: int = 2000,
     mlr_datums: int = 16,
     mlr_ttl: int = 12,
-    checkpoint_every: int | None = None,
 ) -> dict:
     workload = make_xl_workload(
         sensors, floods, ttl, density=_DENSITY, comm_range=_COMM_RANGE,
@@ -120,46 +118,12 @@ def run_benchmark(
     base = legs[f"workers-{workers[0]}"]["wall_clock_s"]
     peak = legs[f"workers-{max(workers)}"]["wall_clock_s"]
 
-    checkpoint_overhead = None
-    if checkpoint_every is not None:
-        # One extra leg at the peak worker count with barrier
-        # checkpointing on: same digest (checkpoints are side-effect
-        # free), and the wall-clock ratio against the uncheckpointed
-        # peak leg is the price of durability.
-        w = max(workers)
-        with tempfile.TemporaryDirectory(prefix="bench-shard-ckpt-") as d:
-            result = run_sharded(
-                workload, shards=w,
-                checkpoint=CheckpointConfig(dir=d, every=checkpoint_every),
-            )
-        if result.digest != want:
-            raise AssertionError(
-                f"checkpointed digest diverged: {want} -> {result.digest}"
-            )
-        plain = legs[f"workers-{w}"]["wall_clock_s"]
-        checkpoint_overhead = result.wall_clock_s / plain
-        legs[f"ckpt-workers-{w}"] = {
-            "workers": w,
-            "wall_clock_s": result.wall_clock_s,
-            "events_processed": result.events_processed,
-            "events_per_sec": result.events_processed / result.wall_clock_s,
-            "windows": result.windows,
-            "checkpoints": result.checkpoints,
-            "checkpoint_every": checkpoint_every,
-            "overhead_vs_plain": checkpoint_overhead,
-            "conserved": result.conservation is None or result.conservation.ok,
-        }
-
-    extra = {"cpu_count": os.cpu_count()}
-    if checkpoint_overhead is not None:
-        extra["checkpoint_overhead"] = checkpoint_overhead
     return bench_record(
         config={"sensors": sensors, "floods": floods, "ttl": ttl, "seed": seed,
                 "comm_range": _COMM_RANGE, "density": _DENSITY,
                 "workers": list(workers),
                 "mlr_sensors": mlr_sensors, "mlr_datums": mlr_datums,
-                "mlr_ttl": mlr_ttl,
-                "checkpoint_every": checkpoint_every},
+                "mlr_ttl": mlr_ttl},
         legs=legs,
         digest={"run_digest": want,
                 "mlr_run_digest": mlr_want,
@@ -169,7 +133,7 @@ def run_benchmark(
                 "mlr_data_generated": m_mlr.data_generated,
                 "mlr_delivered": _delivered(m_mlr)},
         speedup=base / peak,
-        **extra,
+        cpu_count=os.cpu_count(),
     )
 
 
@@ -193,23 +157,13 @@ def main(argv: list[str] | None = None) -> int:
                              "BENCH_shard.json at the repo root)")
     parser.add_argument("--min-speedup", type=float, default=None,
                         help="exit non-zero when speedup falls below this")
-    parser.add_argument("--checkpoint-every", type=int, default=None,
-                        metavar="N",
-                        help="add a checkpointing leg (peak worker count, "
-                             "snapshot every N windows) and record its "
-                             "overhead vs the plain leg")
-    parser.add_argument("--max-checkpoint-overhead", type=float, default=None,
-                        help="exit non-zero when the checkpointing leg's "
-                             "wall-clock ratio exceeds this (e.g. 1.05)")
     args = parser.parse_args(argv)
 
-    if args.max_checkpoint_overhead is not None and args.checkpoint_every is None:
-        parser.error("--max-checkpoint-overhead requires --checkpoint-every")
     workers = [int(w) for w in args.workers.split(",")]
     report = run_benchmark(
         args.sensors, args.floods, args.ttl, workers, seed=args.seed,
         mlr_sensors=args.mlr_sensors, mlr_datums=args.mlr_datums,
-        mlr_ttl=args.mlr_ttl, checkpoint_every=args.checkpoint_every,
+        mlr_ttl=args.mlr_ttl,
     )
     written = write_bench("shard", report, path=args.json)
     if written != "-":
@@ -225,9 +179,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"mlr digest:  {digest['mlr_run_digest'][:16]}… (all legs equal), "
               f"delivered {digest['mlr_delivered']}/{digest['mlr_data_generated']}")
         print(f"speedup:     {report['speedup']:.2f}x")
-        if "checkpoint_overhead" in report:
-            print(f"ckpt ovh:    {report['checkpoint_overhead']:.3f}x "
-                  f"(every {args.checkpoint_every} windows)")
         print(f"record:      {written}")
 
     status = 0
@@ -237,13 +188,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.min_speedup is not None and report["speedup"] < args.min_speedup:
         print(f"FAIL: speedup {report['speedup']:.2f}x < required "
               f"{args.min_speedup:.2f}x", file=sys.stderr)
-        status = 1
-    if (
-        args.max_checkpoint_overhead is not None
-        and report["checkpoint_overhead"] > args.max_checkpoint_overhead
-    ):
-        print(f"FAIL: checkpoint overhead {report['checkpoint_overhead']:.3f}x > "
-              f"allowed {args.max_checkpoint_overhead:.3f}x", file=sys.stderr)
         status = 1
     return status
 

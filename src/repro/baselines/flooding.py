@@ -91,9 +91,7 @@ class Flooding:
 
     def _make_handler(self, node_id: int):
         # functools.partial instead of a closure (same shape as
-        # repro.core.base): the bound call skips a Python frame, and —
-        # unlike a closure — it pickles, which barrier checkpointing of
-        # sharded flooding worlds requires.
+        # repro.core.base): the bound call skips a Python frame.
         return functools.partial(self._on_packet, node_id)
 
     def _on_packet(self, node_id: int, pkt: Packet) -> None:

@@ -60,12 +60,12 @@ class ShardWorkerError(SimulationError):
         message (SIGKILL, OOM, a closed pipe); ``exitcode`` holds the
         exit status when known.  ``"deadline"`` — the worker stayed
         alive but did not answer within the configured per-window
-        timeout.  Deaths and deadline expiries are *retryable*: with
-        checkpointing enabled the coordinator respawns the gang from
-        the last barrier checkpoint.
+        timeout.  Deaths and deadline expiries are *retryable*: the
+        coordinator respawns the gang and reruns the workload from
+        scratch, up to ``max_restarts`` times.
     ``phase``
-        The protocol step being waited on (``"ready"``, ``"window"``,
-        ``"saved"``, ``"done"``).
+        The protocol step being sent (``"advance"``, ``"finish"``) or
+        waited on (``"ready"``, ``"window"``, ``"done"``).
     """
 
     def __init__(
@@ -94,19 +94,13 @@ class ShardWorkerError(SimulationError):
 
     @property
     def retryable(self) -> bool:
-        """Whether respawning the gang from a checkpoint can help.
+        """Whether respawning the gang and rerunning can help.
 
         Remote Python exceptions are deterministic — the respawned gang
         would replay the identical failure — so only process deaths and
         deadline expiries qualify.
         """
         return self.kind in ("died", "deadline")
-
-
-class CheckpointError(ReproError):
-    """Raised when a barrier checkpoint cannot be written, located or
-    restored (missing manifest, shard-count mismatch, corrupt column
-    checksum, a snapshot attempted mid-``run``)."""
 
 
 class ConservationError(ReproError):

@@ -21,21 +21,13 @@ deployment + traffic, ``run_sharded(workload, shards=N)``
 Fault tolerance: the coordinator supervises its gang through
 :class:`~repro.shard.supervise.WorkerGang` (deadline-bounded receives,
 structured :class:`~repro.exceptions.ShardWorkerError`, total teardown)
-and, when a :class:`~repro.shard.checkpoint.CheckpointConfig` is
-passed, snapshots the whole gang at window barriers and respawns
-from the last committed checkpoint after a crash — deterministically:
-the resumed run's digest and per-node RNG states equal the
+and, after a worker death or deadline expiry, respawns the gang and
+reruns the workload from scratch — deterministically: every worker
+forks from the same coordinator state and every draw derives from the
+seed, so the rerun's digest and per-node RNG states equal the
 uninterrupted run's.
 """
 
-from repro.shard.checkpoint import (
-    CheckpointConfig,
-    CheckpointStore,
-    ResumePoint,
-    restore_world,
-    snapshot_world,
-    workload_key,
-)
 from repro.shard.plan import ShardPlan, conservative_lookahead
 from repro.shard.runner import ShardRunResult, ShardWorkload, run_digest, run_sharded
 from repro.shard.supervise import HarnessChaos, SupervisionConfig, WorkerGang
@@ -47,12 +39,6 @@ __all__ = [
     "ShardWorkload",
     "run_digest",
     "run_sharded",
-    "CheckpointConfig",
-    "CheckpointStore",
-    "ResumePoint",
-    "snapshot_world",
-    "restore_world",
-    "workload_key",
     "HarnessChaos",
     "SupervisionConfig",
     "WorkerGang",

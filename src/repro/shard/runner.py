@@ -58,15 +58,12 @@ Fault tolerance.  Every pipe interaction runs through a supervised
 past the per-window deadline, or raises remotely surfaces as a
 structured :class:`~repro.exceptions.ShardWorkerError` within a bounded
 time, and the gang is torn down on every exit path (no orphans, no
-leaked pipes).  With a checkpoint store configured
-(:mod:`repro.shard.checkpoint`) the coordinator snapshots the whole
-gang at barrier every ``CheckpointConfig.every`` windows and, on a retryable
-failure, respawns the gang from the last committed checkpoint — up to
-``max_restarts`` times with exponential backoff.  Because snapshots are
-side-effect-free and taken at global quiescence, a crashed-and-resumed
-run is *bit-identical* (digest and per-node RNG states) to an
-uninterrupted one; ``resume_from=`` cold-restarts a brand-new
-invocation the same way.
+leaked pipes).  On a retryable failure (death or deadline) the
+coordinator respawns the gang and reruns the workload from scratch — up
+to ``max_restarts`` times with exponential backoff.  The rerun is
+*bit-identical* (digest and per-node RNG states) to an uninterrupted
+run: every worker forks from the same coordinator state and every draw
+derives from the seed.
 """
 
 from __future__ import annotations
@@ -80,31 +77,16 @@ import signal
 import time
 import traceback
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.baselines.flooding import Flooding
 from repro.core.mlr import MLR
 from repro.core.spr import SPR
-from repro.exceptions import (
-    CheckpointError,
-    ConfigurationError,
-    ShardWorkerError,
-    SimulationError,
-)
+from repro.exceptions import ConfigurationError, ShardWorkerError, SimulationError
 from repro.obs.audit import ConservationReport, assert_conserved, audit_collector
 from repro.obs.merge import merge_collectors
-from repro.shard.checkpoint import (
-    CheckpointConfig,
-    CheckpointStore,
-    _atomic_write_bytes,
-    base_dir_for,
-    restore_world,
-    snapshot_world,
-    workload_key,
-)
 from repro.shard.plan import ShardPlan, conservative_lookahead
 from repro.shard.supervise import HarnessChaos, SupervisionConfig, WorkerGang
 from repro.sim.mobility import GatewaySchedule
@@ -122,6 +104,10 @@ __all__ = ["ShardRunResult", "ShardWorkload", "run_digest", "run_sharded"]
 #: from the *shared* ``sim.rng`` in global event order — per-worker
 #: streams would diverge — and stay unsupported.
 _SHARD_SAFE_PROTOCOLS = {"flooding": Flooding, "spr": SPR, "mlr": MLR}
+
+#: Livelock guard: a sharded run needing more window barriers than this
+#: raises :class:`~repro.exceptions.SimulationError`.
+_MAX_WINDOWS = 1_000_000
 
 
 @dataclass
@@ -194,10 +180,6 @@ class ShardRunResult:
     rng_states: dict = field(default_factory=dict)
     #: gang respawns the supervision loop performed (0 = clean run)
     restarts: int = 0
-    #: barrier checkpoints committed across all gang generations
-    checkpoints: int = 0
-    #: window the (last) resume restarted from; ``None`` = from scratch
-    resumed_window: Optional[int] = None
 
 
 # ----------------------------------------------------------------------
@@ -339,6 +321,30 @@ def _validate_mlr_mobility(workload: ShardWorkload, shards: int) -> None:
                 )
 
 
+def _validate_chaos(chaos: Optional[HarnessChaos], shards: int) -> None:
+    """Reject harness chaos that could never fire.
+
+    Chaos needs a worker gang, and its target shards must be workers of
+    this run — a mis-aimed kill would otherwise pass a recovery test
+    without any crash happening.  A kill window past the last barrier
+    cannot be known in advance and stays legal.
+    """
+    if chaos is None:
+        return
+    if shards == 1:
+        raise ConfigurationError(
+            "chaos requires a sharded execution (shards > 1); the "
+            "single-process leg has no worker gang to supervise"
+        )
+    for name in ("kill_shard", "delay_shard"):
+        target = getattr(chaos, name)
+        if target is not None and target not in range(shards):
+            raise ConfigurationError(
+                f"HarnessChaos {name}={target!r} names no worker of a "
+                f"{shards}-shard run (valid: 0..{shards - 1})"
+            )
+
+
 def _schedule_rounds(sim, proto, workload: ShardWorkload) -> None:
     """Arm MLR round starts at identical sim times on every leg.
 
@@ -391,10 +397,9 @@ def _worker_main(
     shard_id: int,
     plan: ShardPlan,
     chaos: Optional[HarnessChaos] = None,
-    resume_path: Optional[str] = None,
 ) -> None:
     try:
-        _worker_loop(conn, workload, shard_id, plan, chaos, resume_path)
+        _worker_loop(conn, workload, shard_id, plan, chaos)
     except BaseException:
         try:
             conn.send(("error", traceback.format_exc()))
@@ -410,66 +415,34 @@ def _worker_loop(
     shard_id: int,
     plan: ShardPlan,
     chaos: Optional[HarnessChaos],
-    resume_path: Optional[str],
 ) -> None:
     t0 = time.perf_counter()
-    if resume_path is not None:
-        # Thaw the barrier snapshot: the whole world object graph plus
-        # the uid watermark, exactly as the dead worker last held it.
-        # Channel sharding masks, scheduled traffic and round starts are
-        # all part of the frozen state — nothing is re-applied.
-        world, proto, extra = restore_world(Path(resume_path).read_bytes())
-        sim, channel, network = world.sim, world.channel, world.network
-        positions = workload.positions
-        owned = plan.owner_of(positions) == shard_id
-        watch = extra["watch"]
-        alive_now = extra["alive_now"]
-        window_no = int(extra["window"])
-        wall_base = float(extra["wall_s"])
-        nodes = network.nodes
-        store = network.store
-    else:
-        positions = workload.positions
-        owned = plan.owner_of(positions) == shard_id
-        world, proto = _build_worker_world(workload, defer_audit=True)
-        sim, channel, network = world.sim, world.channel, world.network
-        channel.configure_sharding(owned)
-        _schedule_rounds(sim, proto, workload)
-        for i, (when, src) in enumerate(workload.traffic):
-            if owned[src]:
-                sim.schedule_at(float(when), proto.send_data, int(src), None, i + 1)
+    positions = workload.positions
+    owned = plan.owner_of(positions) == shard_id
+    world, proto = _build_worker_world(workload, defer_audit=True)
+    sim, channel, network = world.sim, world.channel, world.network
+    channel.configure_sharding(owned)
+    _schedule_rounds(sim, proto, workload)
+    for i, (when, src) in enumerate(workload.traffic):
+        if owned[src]:
+            sim.schedule_at(float(when), proto.send_data, int(src), None, i + 1)
 
-        # Watch set: owned nodes whose aliveness other shards can
-        # observe — everything in the comm_range band around this
-        # strip's boundary.
-        grid = CellGrid(positions, workload.comm_range)
-        band = grid.cells_in_band(plan.strip_rect(shard_id), workload.comm_range)
-        watch = [int(i) for i in band if owned[i]]
-        nodes = network.nodes
-        store = network.store
-        alive_now = {i: bool(nodes[i].alive) for i in watch}
-        window_no = 0
-        wall_base = 0.0
+    # Watch set: owned nodes whose aliveness other shards can
+    # observe — everything in the comm_range band around this
+    # strip's boundary.
+    grid = CellGrid(positions, workload.comm_range)
+    band = grid.cells_in_band(plan.strip_rect(shard_id), workload.comm_range)
+    watch = [int(i) for i in band if owned[i]]
+    nodes = network.nodes
+    store = network.store
+    alive_now = {i: bool(nodes[i].alive) for i in watch}
+    window_no = 0
 
     conn.send(("ready", sim.next_event_time))
     while True:
         msg = conn.recv()
         if msg[0] == "finish":
             break
-        if msg[0] == "checkpoint":
-            blob = snapshot_world(
-                world,
-                proto,
-                extra={
-                    "watch": watch,
-                    "alive_now": alive_now,
-                    "window": window_no,
-                    "wall_s": wall_base + (time.perf_counter() - t0),
-                },
-            )
-            _atomic_write_bytes(Path(msg[1]), blob)
-            conn.send(("saved", shard_id))
-            continue
         _, grant, deliveries, alive_updates = msg
         if alive_updates:
             store.mirror_alive(
@@ -508,7 +481,7 @@ def _worker_loop(
             world.metrics,
             (tx.tolist(), rx.tolist()),
             sim.events_processed,
-            wall_base + (time.perf_counter() - t0),
+            time.perf_counter() - t0,
             rng_states,
         )
     )
@@ -522,28 +495,6 @@ def _mp_context():
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms
         return multiprocessing.get_context("spawn")
-
-
-def _resolve_checkpoint(checkpoint, resume_from) -> Optional[CheckpointConfig]:
-    """Checkpointing for this run: the explicit arg, else the resume path.
-
-    A bare path string is promoted to a :class:`CheckpointConfig` with
-    the default cadence; ``resume_from`` alone implies its own base dir
-    as the store (so the resumed run keeps checkpointing into the same
-    tree it is restoring from).
-    """
-    if isinstance(checkpoint, CheckpointConfig):
-        return checkpoint
-    if isinstance(checkpoint, (str, Path)):
-        return CheckpointConfig(dir=str(checkpoint))
-    if checkpoint is not None:
-        raise ConfigurationError(
-            f"checkpoint must be a CheckpointConfig, a directory path or None, "
-            f"got {checkpoint!r}"
-        )
-    if resume_from is not None:
-        return CheckpointConfig(dir=str(base_dir_for(resume_from)))
-    return None
 
 
 def _run_single(workload: ShardWorkload) -> ShardRunResult:
@@ -584,53 +535,29 @@ def _coordinate(
     plan: ShardPlan,
     positions: np.ndarray,
     supervision: SupervisionConfig,
-    store: Optional[CheckpointStore],
-    resume_point,
     chaos: Optional[HarnessChaos],
-    max_windows: Optional[int],
-    stats: dict,
 ):
-    """Drive one gang generation barrier-to-barrier; return the payloads.
+    """Drive one gang generation from spawn to done; return the payloads.
 
-    Spawns the workers (from scratch or from ``resume_point``), runs the
-    window protocol with supervised sends/receives, checkpoints at the
-    configured cadence, and *always* tears the gang down — a worker
-    failure propagates as :class:`~repro.exceptions.ShardWorkerError`
-    with no process or pipe left behind for the caller's restart loop.
+    Spawns the workers, runs the window protocol with supervised
+    sends/receives, and *always* tears the gang down — a worker failure
+    propagates as :class:`~repro.exceptions.ShardWorkerError` with no
+    process or pipe left behind for the caller's restart loop.
     """
     owners = plan.owner_of(positions)
     xs = positions[:, 0]
     lookahead = conservative_lookahead(workload.radio)
-    limit = 1_000_000 if max_windows is None else max_windows
 
     gang = WorkerGang(_mp_context(), supervision)
     try:
         for s in range(shards):
-            shard_file = (
-                str(resume_point.path / f"shard-{s:02d}.pkl")
-                if resume_point is not None
-                else None
-            )
-            gang.spawn(_worker_main, (workload, s, plan, chaos, shard_file))
+            gang.spawn(_worker_main, (workload, s, plan, chaos))
 
         nexts = [gang.recv(s, "ready")[1] for s in range(shards)]
-        if resume_point is not None:
-            coord = resume_point.coordinator_state()
-            if nexts != coord["nexts"]:
-                raise CheckpointError(
-                    f"resumed workers report next-event times {nexts} but the "
-                    f"checkpoint froze {coord['nexts']} — snapshot and workload "
-                    "disagree"
-                )
-            pending = coord["pending"]
-            pending_alive = coord["pending_alive"]
-            in_flight = coord["in_flight"]
-            windows = int(coord["windows"])
-        else:
-            pending = [[] for _ in range(shards)]
-            pending_alive = [[] for _ in range(shards)]
-            in_flight = []
-            windows = 0
+        pending = [[] for _ in range(shards)]
+        pending_alive = [[] for _ in range(shards)]
+        in_flight = []
+        windows = 0
         while True:
             horizon = math.inf
             for t in nexts:
@@ -642,9 +569,10 @@ def _coordinate(
             if not math.isfinite(horizon):
                 break
             windows += 1
-            if windows > limit:
+            if windows > _MAX_WINDOWS:
                 raise SimulationError(
-                    f"sharded run exceeded {limit} windows at t={horizon} — livelock?"
+                    f"sharded run exceeded {_MAX_WINDOWS} windows at t={horizon} "
+                    "— livelock?"
                 )
             grant = horizon + lookahead
             for s in range(shards):
@@ -673,30 +601,6 @@ def _coordinate(
             for lst in pending_alive:
                 lst.sort()
 
-            if store is not None and windows % store.config.every == 0:
-                # Global quiescence: every worker drained its grant, all
-                # cross-shard traffic is in the pending lists above.
-                store.begin(windows)
-                for s in range(shards):
-                    gang.send(
-                        s,
-                        ("checkpoint", str(store.shard_path(windows, s))),
-                        phase="checkpoint",
-                    )
-                for s in range(shards):
-                    gang.recv(s, "saved")
-                store.commit(
-                    windows,
-                    {
-                        "windows": windows,
-                        "nexts": list(nexts),
-                        "pending": pending,
-                        "pending_alive": pending_alive,
-                        "in_flight": list(in_flight),
-                    },
-                )
-                stats["checkpoints"] += 1
-
         for s in range(shards):
             gang.send(s, ("finish",), phase="finish")
         payloads = [gang.recv(s, "done") for s in range(shards)]
@@ -708,11 +612,7 @@ def _coordinate(
 def run_sharded(
     workload: ShardWorkload,
     shards: int = 1,
-    trace_path: Optional[str] = None,
-    max_windows: Optional[int] = None,
     supervision: Optional[SupervisionConfig] = None,
-    checkpoint=None,
-    resume_from: Optional[str] = None,
     chaos: Optional[HarnessChaos] = None,
 ) -> ShardRunResult:
     """Execute ``workload`` across ``shards`` worker processes.
@@ -722,84 +622,45 @@ def run_sharded(
     merged ledger is strictly audited at the end — a violation raises
     :class:`~repro.exceptions.ConservationError`, the same contract the
     single-process idle hook enforces at quiescence.
-    ``max_windows`` guards against livelock in the window protocol
-    (default: one million barriers).  ``trace_path`` writes a JSON cell
-    record at the path plus one fragment per shard
-    (``<stem>.shardNN<suffix>``).
 
     Fault tolerance (multi-shard only):
 
     ``supervision``
         :class:`~repro.shard.supervise.SupervisionConfig` — per-window
-        deadline, restart budget, backoff.  Defaults apply when omitted.
-    ``checkpoint``
-        A :class:`~repro.shard.checkpoint.CheckpointConfig` or a bare
-        directory path (default cadence).  When set, the gang
-        snapshots at barrier every ``every`` windows and retryable
-        worker failures (death, deadline) respawn from the last
-        committed checkpoint — remote Python exceptions re-raise
-        immediately (deterministic; a retry would replay them).
-    ``resume_from``
-        Path to a checkpoint tree (base dir, run dir or window dir) to
-        cold-start from; the resumed run is bit-identical to the
-        uninterrupted one.
+        deadline and restart budget.  Defaults apply when omitted.  A
+        worker death or deadline expiry respawns the gang and reruns
+        the workload from scratch, up to ``max_restarts`` times; the
+        rerun is bit-identical to an uninterrupted run.  Remote Python
+        exceptions re-raise immediately (deterministic; a rerun would
+        replay them).
     ``chaos``
         Test-only :class:`~repro.shard.supervise.HarnessChaos`, armed on
-        the first gang generation only.
+        the first gang generation only.  Its ``kill_shard`` and
+        ``delay_shard`` must name workers of this run.
     """
     _validate(workload, shards)
+    _validate_chaos(chaos, shards)
     supervision = supervision or SupervisionConfig()
-    ckpt_cfg = _resolve_checkpoint(checkpoint, resume_from)
     if shards == 1:
-        if resume_from is not None or chaos is not None:
-            raise ConfigurationError(
-                "resume_from and chaos require a sharded execution (shards > 1); "
-                "the single-process leg has no worker gang to supervise"
-            )
-        result = _run_single(workload)
-        if trace_path is not None:
-            _write_trace(trace_path, result)
-        return result
+        return _run_single(workload)
 
     t0 = time.perf_counter()
     positions = workload.positions
     plan = ShardPlan.build(positions, workload.comm_range, shards)
-    store = (
-        CheckpointStore(ckpt_cfg, workload_key(workload, shards), shards)
-        if ckpt_cfg is not None
-        else None
-    )
-    resume_point = None
-    if resume_from is not None:
-        resume_point = store.locate(resume_from)
-    resumed_window = resume_point.window if resume_point is not None else None
-
-    stats = {"checkpoints": 0}
     restarts = 0
     attempt_chaos = chaos
     while True:
         try:
             payloads, windows = _coordinate(
-                workload, shards, plan, positions, supervision, store,
-                resume_point, attempt_chaos, max_windows, stats,
+                workload, shards, plan, positions, supervision, attempt_chaos,
             )
             break
         except ShardWorkerError as exc:
-            retryable = (
-                exc.retryable
-                and store is not None
-                and restarts < supervision.max_restarts
-            )
-            if not retryable:
+            if not exc.retryable or restarts >= supervision.max_restarts:
                 raise
             restarts += 1
             attempt_chaos = None
             time.sleep(supervision.backoff_s(restarts - 1))
-            # Latest committed checkpoint, if any was reached; None
-            # restarts the computation from scratch.
-            resume_point = store.latest()
-            if resume_point is not None:
-                resumed_window = resume_point.window
 
     collectors = [p[1] for p in payloads]
     tx = np.sum([np.asarray(p[2][0], dtype=np.int64) for p in payloads], axis=0)
@@ -813,7 +674,7 @@ def run_sharded(
         # Disjoint by construction: a node's substream only ever
         # advances on its owner (draws are keyed by the acting node).
         rng_states.update(p[5])
-    result = ShardRunResult(
+    return ShardRunResult(
         shards=shards,
         metrics=merged,
         events_processed=sum(p[3] for p in payloads),
@@ -827,40 +688,4 @@ def run_sharded(
         ],
         rng_states=dict(sorted(rng_states.items())),
         restarts=restarts,
-        checkpoints=stats["checkpoints"],
-        resumed_window=resumed_window,
     )
-    if trace_path is not None:
-        _write_trace(trace_path, result)
-    return result
-
-
-# ----------------------------------------------------------------------
-# trace output
-# ----------------------------------------------------------------------
-def _cell_record(result: ShardRunResult) -> dict:
-    rec: dict[str, Any] = {
-        "shards": result.shards,
-        "digest": result.digest,
-        "events_processed": result.events_processed,
-        "wall_clock_s": result.wall_clock_s,
-        "windows": result.windows,
-        "restarts": result.restarts,
-        "checkpoints": result.checkpoints,
-        "resumed_window": result.resumed_window,
-        "summary": result.metrics.summary(),
-    }
-    if result.conservation is not None:
-        rec["conservation"] = result.conservation.to_jsonable()
-    return rec
-
-
-def _write_trace(path: str, result: ShardRunResult) -> None:
-    """One merged cell record at ``path``, one fragment per shard."""
-    import pathlib
-
-    p = pathlib.Path(path)
-    p.write_text(json.dumps(_cell_record(result), indent=2, sort_keys=True) + "\n")
-    for part in result.parts:
-        frag = p.with_name(f"{p.stem}.shard{part['shard']:02d}{p.suffix}")
-        frag.write_text(json.dumps(part, indent=2, sort_keys=True) + "\n")

@@ -17,8 +17,10 @@ coordinator loop:
     leaking a process or a pipe, on every path.
 
 :class:`SupervisionConfig`
-    The knobs: per-window deadline, heartbeat tick, restart budget and
-    backoff for the coordinator's respawn-from-checkpoint loop.
+    The two settable knobs: the per-window deadline and the restart
+    budget of the coordinator's respawn-and-rerun loop.  The heartbeat
+    tick, respawn backoff and teardown join timeout are module
+    constants.
 
 :class:`HarnessChaos`
     The FaultPlan philosophy applied to the harness itself (test-only):
@@ -40,6 +42,18 @@ __all__ = ["HarnessChaos", "SupervisionConfig", "WorkerGang"]
 #: Pipe-level failures that mean "the peer is gone", not "bad data".
 _PIPE_DEATH = (EOFError, BrokenPipeError, ConnectionResetError, OSError)
 
+#: The liveness-probe tick: while waiting, the coordinator polls the
+#: pipe this long, then checks the worker process is still alive — so a
+#: SIGKILL'd worker is detected within one tick, not one deadline.
+_HEARTBEAT_S = 0.05
+#: Exponential respawn backoff: restart ``k`` (0-based) first sleeps
+#: ``_BACKOFF_BASE_S * _BACKOFF_FACTOR**k`` seconds.
+_BACKOFF_BASE_S = 0.1
+_BACKOFF_FACTOR = 2.0
+#: How long teardown waits for a worker to exit after its pipe is closed
+#: and ``terminate()`` was sent, before escalating to ``kill()``.
+_JOIN_TIMEOUT_S = 10.0
+
 
 @dataclass(frozen=True)
 class SupervisionConfig:
@@ -52,52 +66,27 @@ class SupervisionConfig:
         coordinator will ever block on one receive).  Generous by
         default — a 100k-node window can legitimately take a while —
         but always finite: a hung worker is detected within this bound.
-    heartbeat_s:
-        The liveness-probe tick.  While waiting, the coordinator polls
-        the pipe for this long, then checks the worker process is still
-        alive before polling again — so a SIGKILL'd worker is detected
-        within one tick instead of one window deadline.
     max_restarts:
-        Gang respawns (from the last barrier checkpoint) the
+        Gang respawns — each reruns the workload from scratch — the
         coordinator will attempt before re-raising the worker failure.
-    backoff_base_s / backoff_factor:
-        Exponential respawn backoff: restart ``k`` (0-based) sleeps
-        ``backoff_base_s * backoff_factor**k`` first.
-    join_timeout_s:
-        How long teardown waits for a worker to exit after its pipe is
-        closed and ``terminate()`` has been sent, before escalating to
-        ``kill()``.
     """
 
     window_timeout_s: float = 120.0
-    heartbeat_s: float = 0.05
     max_restarts: int = 2
-    backoff_base_s: float = 0.1
-    backoff_factor: float = 2.0
-    join_timeout_s: float = 10.0
 
     def __post_init__(self) -> None:
         if not self.window_timeout_s > 0:
             raise ConfigurationError(
                 f"window_timeout_s must be positive, got {self.window_timeout_s!r}"
             )
-        if not self.heartbeat_s > 0:
-            raise ConfigurationError(
-                f"heartbeat_s must be positive, got {self.heartbeat_s!r}"
-            )
         if self.max_restarts < 0:
             raise ConfigurationError(
                 f"max_restarts must be >= 0, got {self.max_restarts!r}"
             )
-        if self.backoff_base_s < 0 or self.backoff_factor < 1.0:
-            raise ConfigurationError(
-                "backoff_base_s must be >= 0 and backoff_factor >= 1, got "
-                f"{self.backoff_base_s!r} / {self.backoff_factor!r}"
-            )
 
     def backoff_s(self, restart: int) -> float:
         """Sleep before 0-based restart attempt ``restart``."""
-        return self.backoff_base_s * self.backoff_factor ** restart
+        return _BACKOFF_BASE_S * _BACKOFF_FACTOR ** restart
 
 
 @dataclass(frozen=True)
@@ -106,7 +95,9 @@ class HarnessChaos:
 
     Applied inside the worker processes of the first gang generation
     only — a respawned gang never re-arms chaos, so an injected kill
-    cannot loop forever.
+    cannot loop forever.  :func:`~repro.shard.runner.run_sharded`
+    rejects a ``kill_shard`` or ``delay_shard`` outside its worker
+    range, since such chaos would never fire.
 
     Attributes
     ----------
@@ -198,7 +189,7 @@ class WorkerGang:
         while True:
             remaining = deadline - time.monotonic()
             try:
-                if conn.poll(min(cfg.heartbeat_s, max(remaining, 0.0))):
+                if conn.poll(min(_HEARTBEAT_S, max(remaining, 0.0))):
                     msg = conn.recv()
                     if msg[0] == "error":
                         raise ShardWorkerError(
@@ -237,12 +228,12 @@ class WorkerGang:
         for proc in self.procs:
             if proc.is_alive():
                 proc.terminate()
-        deadline = time.monotonic() + self.config.join_timeout_s
+        deadline = time.monotonic() + _JOIN_TIMEOUT_S
         for proc in self.procs:
             proc.join(timeout=max(deadline - time.monotonic(), 0.1))
         for proc in self.procs:
             if proc.is_alive():  # pragma: no cover - terminate() ignored
                 proc.kill()
-                proc.join(timeout=self.config.join_timeout_s)
+                proc.join(timeout=_JOIN_TIMEOUT_S)
         self.pipes = []
         self.procs = []

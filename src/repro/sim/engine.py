@@ -350,31 +350,6 @@ class Simulator:
             self._idle_hooks.append(fn)
 
     # ------------------------------------------------------------------
-    # snapshot / restore (barrier checkpoints, repro.shard.checkpoint)
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> dict:
-        """Pickle support with a barrier-only guard.
-
-        The engine's whole state — pending heap, clock, tie-break
-        counter, per-node RNG substreams — pickles as plain attributes,
-        *except* mid-:meth:`run`: an event currently executing is on no
-        queue, so a snapshot taken from inside a callback would silently
-        drop it.  Sharded checkpoints only ever fire between windows
-        (the gang is quiescent at the null-message barrier), so hitting
-        this guard means a checkpoint hook ran from the wrong place.
-        """
-        if self._running:
-            raise SimulationError(
-                "cannot snapshot a Simulator from inside run(): the executing "
-                "event is not on the queue; snapshot at a window barrier or "
-                "after run() returns"
-            )
-        return dict(self.__dict__)
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-
-    # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
     def step(self) -> bool:

@@ -37,8 +37,6 @@ __all__ = [
     "MAC_HEADER_BYTES",
     "PATH_ENTRY_BYTES",
     "DATA_PAYLOAD_BYTES",
-    "uid_state",
-    "restore_uid_state",
 ]
 
 #: Bytes of link-layer framing charged to every transmission (802.15.4-ish).
@@ -49,30 +47,6 @@ PATH_ENTRY_BYTES = 2
 DATA_PAYLOAD_BYTES = 24
 
 _uid_counter = itertools.count()
-
-
-def uid_state() -> int:
-    """The next packet ``uid`` this process would hand out.
-
-    Reads the counter without consuming a value (``itertools.count``
-    exposes its position through ``__reduce__``), so snapshotting the
-    watermark is side-effect-free — a run checkpointed every window
-    stays bit-identical to one never checkpointed.
-    """
-    return int(_uid_counter.__reduce__()[1][0])
-
-
-def restore_uid_state(value: int) -> None:
-    """Reset the process-global ``uid`` watermark (checkpoint restore).
-
-    A resumed worker process replays uids exactly as the interrupted
-    process would have issued them, so uids stay unique within the run
-    and trace records match the uninterrupted execution.  Only call
-    this in a process that is discarding all packets minted before the
-    snapshot (a fresh worker, or a test replacing its world wholesale).
-    """
-    global _uid_counter
-    _uid_counter = itertools.count(int(value))
 
 
 class PacketKind(enum.Enum):

@@ -34,7 +34,6 @@ exactly once per actual flip.  Arrays returned by
 
 from __future__ import annotations
 
-import hashlib
 import math
 from typing import Callable, Optional, Sequence, TYPE_CHECKING
 
@@ -147,30 +146,6 @@ class NodeStateStore:
             np.asarray(self.tx_count, dtype=np.int64),
             np.asarray(self.rx_count, dtype=np.int64),
         )
-
-    # ------------------------------------------------------------------
-    # snapshot validation (barrier checkpoints, repro.shard.checkpoint)
-    # ------------------------------------------------------------------
-    def checksum(self) -> str:
-        """SHA-256 over every column's exact bytes.
-
-        A checkpoint records this at snapshot time and re-derives it
-        after restore: any corruption of the columnar state across the
-        pickle round-trip (or a truncated checkpoint file that still
-        unpickled) fails loudly instead of silently diverging the run.
-        Float columns hash bit-for-bit — the same all-or-nothing
-        standard the run digest holds metrics to.
-        """
-        h = hashlib.sha256()
-        for arr in (
-            self.capacity, self.remaining, self.spent_tx, self.spent_rx,
-            self.spent_idle, self.died_at, self.energy_alive, self.failed,
-            self.sleeping, self.alive, self.finite,
-        ):
-            h.update(np.ascontiguousarray(arr).tobytes())
-        h.update(repr(self.tx_count).encode())
-        h.update(repr(self.rx_count).encode())
-        return h.hexdigest()
 
     # ------------------------------------------------------------------
     # views

@@ -75,8 +75,8 @@ class WorldConfig:
     thread a single ``world`` value into their
     :class:`~repro.runner.spec.ExperimentSpec` params, so both fields
     reach the cache key.  How many processes run a world is not part of
-    it: :func:`repro.shard.run_sharded` takes the shard count and
-    checkpointing as arguments.  Unknown field names fail in
+    it: :func:`repro.shard.run_sharded` takes the shard count as an
+    argument.  Unknown field names fail in
     :meth:`from_param` and in the constructor alike, and experiment entry
     points reject bare ``audit`` or ``spatial_index`` keyword arguments
     with ``TypeError``.

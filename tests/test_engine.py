@@ -251,24 +251,3 @@ def test_pickle_roundtrip_preserves_pending_events():
     assert clone.events_processed == sim.events_processed
     # The clone's per-node substreams replay identically.
     assert clone.node_rng(3).random() == sim.node_rng(3).random()
-
-
-def test_pickle_refused_mid_run():
-    """Snapshotting from inside a callback would drop the live event."""
-    import pickle
-
-    sim = Simulator(seed=0)
-    caught = []
-
-    def snap():
-        try:
-            pickle.dumps(sim)
-        except SimulationError as e:
-            caught.append(e)
-
-    sim.schedule(1.0, snap)
-    sim.run()
-    assert len(caught) == 1
-    assert "barrier" in str(caught[0])
-    # Quiescent again after run() returns: pickling works.
-    pickle.dumps(sim)

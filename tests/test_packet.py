@@ -111,25 +111,3 @@ class TestSizeCache:
             ciphertext=b"ct", mac=b"x" * 8, counter=0, claimed_sender=1
         )
         assert p.size_bytes() == base + 2 * PATH_ENTRY_BYTES + 16
-
-
-class TestUidWatermark:
-    """The process-global uid counter is checkpointable state."""
-
-    def test_uid_state_peek_is_side_effect_free(self):
-        from repro.sim.packet import uid_state
-
-        before = uid_state()
-        assert uid_state() == before  # peeking consumed nothing
-        p = _pkt()
-        assert p.uid == before
-        assert uid_state() == before + 1
-
-    def test_restore_replays_the_same_uids(self):
-        from repro.sim.packet import restore_uid_state, uid_state
-
-        mark = uid_state()
-        first = [_pkt().uid for _ in range(3)]
-        restore_uid_state(mark)
-        again = [_pkt().uid for _ in range(3)]
-        assert again == first == [mark, mark + 1, mark + 2]

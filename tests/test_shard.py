@@ -16,7 +16,6 @@ per-node RNG substreams.
 import dataclasses
 import math
 import multiprocessing
-import tempfile
 import time
 from collections import Counter
 
@@ -24,28 +23,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.exceptions import CheckpointError, ConfigurationError, ShardWorkerError
+from repro.exceptions import ConfigurationError, ShardWorkerError
 from repro.obs.ledger import DatumState, PacketLedger
 from repro.obs.merge import merge_collectors, merge_ledgers
 from repro.runner.spec import cache_key
 from repro.shard import (
-    CheckpointConfig,
     HarnessChaos,
     ShardPlan,
     ShardWorkload,
     SupervisionConfig,
     conservative_lookahead,
-    restore_world,
     run_sharded,
-    snapshot_world,
-    workload_key,
 )
-from repro.shard.runner import (
-    _build_worker_world,
-    _schedule_rounds,
-    _validate,
-    run_digest,
-)
+from repro.shard.runner import _validate
 from repro.sim.mobility import FeasiblePlaces, GatewaySchedule
 from repro.sim.network import uniform_deployment
 from repro.sim.packet import MAC_HEADER_BYTES, Packet, PacketKind
@@ -637,11 +627,14 @@ class TestSupervision:
         assert err.retryable is False
         assert _no_orphans()
 
-    def test_chaos_kill_without_checkpoints_raises_died(self):
-        """SIGKILL with no checkpoint store: nothing to resume from."""
+    def test_chaos_kill_without_restart_budget_raises_died(self):
+        """SIGKILL with ``max_restarts=0``: the death surfaces, no rerun."""
         chaos = HarnessChaos(kill_shard=1, kill_window=2)
         with pytest.raises(ShardWorkerError) as exc_info:
-            run_sharded(_workload(), shards=2, chaos=chaos)
+            run_sharded(
+                _workload(), shards=2, chaos=chaos,
+                supervision=SupervisionConfig(max_restarts=0),
+            )
         err = exc_info.value
         assert err.kind == "died"
         assert err.shard == 1
@@ -668,11 +661,7 @@ class TestSupervision:
         with pytest.raises(ConfigurationError):
             SupervisionConfig(window_timeout_s=0.0)
         with pytest.raises(ConfigurationError):
-            SupervisionConfig(heartbeat_s=-1.0)
-        with pytest.raises(ConfigurationError):
             SupervisionConfig(max_restarts=-1)
-        with pytest.raises(ConfigurationError):
-            SupervisionConfig(backoff_factor=0.5)
         assert SupervisionConfig().backoff_s(2) == pytest.approx(0.4)
 
     def test_harness_chaos_validation(self):
@@ -683,27 +672,40 @@ class TestSupervision:
         with pytest.raises(ConfigurationError):
             HarnessChaos(delay_shard=0, delay_s=0.0)
 
-    def test_single_process_leg_rejects_chaos_and_resume(self):
-        w = _workload()
+    def test_single_process_leg_rejects_chaos(self):
         with pytest.raises(ConfigurationError):
-            run_sharded(w, shards=1, chaos=HarnessChaos(kill_shard=0))
-        with pytest.raises(ConfigurationError):
-            run_sharded(w, shards=1, resume_from="/nonexistent")
+            run_sharded(_workload(), shards=1, chaos=HarnessChaos(kill_shard=0))
+
+    @pytest.mark.parametrize(
+        "chaos",
+        [
+            HarnessChaos(kill_shard=2),
+            HarnessChaos(kill_shard=5),
+            HarnessChaos(kill_shard=-1),
+            HarnessChaos(delay_shard=2, delay_s=0.1),
+        ],
+        ids=["kill-2", "kill-5", "kill-minus-1", "delay-2"],
+    )
+    def test_chaos_aimed_at_no_worker_is_refused(self, chaos):
+        """Chaos that names no worker would never fire — and a recovery
+        test built on it would pass without any crash happening."""
+        with pytest.raises(ConfigurationError, match="names no worker"):
+            run_sharded(_workload(), shards=2, chaos=chaos)
 
 
 # ----------------------------------------------------------------------
-# barrier checkpoints + deterministic crash-resume
+# deterministic crash recovery: respawn the gang, rerun from scratch
 # ----------------------------------------------------------------------
-class TestCheckpointResume:
+class TestCrashRerun:
     @pytest.mark.parametrize("protocol", ["flooding", "spr", "mlr"])
     @pytest.mark.parametrize("workers", [2, 4])
-    def test_kill_and_resume_is_bit_identical(self, protocol, workers, tmp_path):
-        """SIGKILL mid-run, respawn from the barrier: same digest, same RNG.
+    def test_kill_and_rerun_is_bit_identical(self, protocol, workers):
+        """SIGKILL mid-run, respawn, rerun: same digest, same RNG.
 
-        The acceptance gate for the whole subsystem: a run that loses a
-        worker and resumes from its last checkpoint is indistinguishable
-        — digest, per-node RNG states, conservation report — from the
-        run that was never interrupted.
+        The acceptance gate for crash recovery: with default
+        supervision, a run that loses a worker is indistinguishable —
+        digest, per-node RNG states, conservation report — from the run
+        that was never interrupted.
         """
         if protocol == "mlr":
             w = _mlr_workload(seed=9)
@@ -712,152 +714,31 @@ class TestCheckpointResume:
         ref = run_sharded(w, shards=workers)
         res = run_sharded(
             w, shards=workers,
-            checkpoint=CheckpointConfig(dir=str(tmp_path), every=3),
             chaos=HarnessChaos(kill_shard=workers - 1, kill_window=7),
         )
         assert res.restarts == 1
-        assert res.resumed_window is not None
-        assert res.checkpoints > 0
         assert res.digest == ref.digest
         assert res.rng_states == ref.rng_states
         assert res.conservation.to_jsonable() == ref.conservation.to_jsonable()
-
-    def test_checkpointing_alone_never_changes_the_run(self, tmp_path):
-        """Snapshots are pure observation: digest equals the plain leg."""
-        w = _workload(n=90, field=160.0, datums=6, seed=4)
-        plain = run_sharded(w, shards=2)
-        ckpt = run_sharded(
-            w, shards=2, checkpoint=CheckpointConfig(dir=str(tmp_path), every=2),
-        )
-        assert ckpt.checkpoints > 0
-        assert ckpt.restarts == 0
-        assert ckpt.digest == plain.digest
-        assert ckpt.rng_states == plain.rng_states
-
-    def test_cold_resume_after_fatal_crash(self, tmp_path):
-        """max_restarts=0 crashes the run; ``resume_from`` finishes it.
-
-        This is the operator workflow: the process died (restart budget
-        exhausted, OOM-killed coordinator, ...), a later invocation
-        points at the checkpoint directory and completes the run with
-        the uninterrupted digest.
-        """
-        w = _workload(seed=6)
-        ref = run_sharded(w, shards=2)
-        with pytest.raises(ShardWorkerError):
-            run_sharded(
-                w, shards=2,
-                checkpoint=CheckpointConfig(dir=str(tmp_path), every=3),
-                chaos=HarnessChaos(kill_shard=0, kill_window=8),
-                supervision=SupervisionConfig(max_restarts=0),
-            )
         assert _no_orphans()
-        res = run_sharded(w, shards=2, resume_from=str(tmp_path))
-        assert res.resumed_window is not None
-        assert res.restarts == 0
-        assert res.digest == ref.digest
-        assert res.rng_states == ref.rng_states
 
-    def test_bare_path_checkpoint_surface(self, tmp_path):
-        """A directory path arms the store at the default cadence."""
-        w = _workload(seed=2)
-        ref = run_sharded(w, shards=2)
-        every = CheckpointConfig(dir=str(tmp_path)).every
-        res = run_sharded(
-            w, shards=2, checkpoint=str(tmp_path),
-            chaos=HarnessChaos(kill_shard=1, kill_window=every + 2),
-        )
-        assert res.restarts == 1
-        assert res.resumed_window == every
-        assert res.digest == ref.digest
-
-    def test_workload_key_ignores_execution_strategy(self):
-        """The run directory is keyed by physics, not by plumbing."""
-        w = _workload(seed=3)
-        assert workload_key(w, 2) == workload_key(_workload(seed=3), 2)
-        # ... but a different shard count is a different resume lineage.
-        assert workload_key(w, 2) != workload_key(w, 3)
-        # And different physics is a different key.
-        assert workload_key(w, 2) != workload_key(_workload(seed=4), 2)
-
-    def test_resume_with_wrong_shard_count_is_refused(self, tmp_path):
-        """A 2-shard lineage cannot silently seed a 3-shard run."""
-        w = _workload(seed=5)
-        run_sharded(
-            w, shards=2, checkpoint=CheckpointConfig(dir=str(tmp_path), every=2),
-        )
-        with pytest.raises(CheckpointError):
-            run_sharded(w, shards=3, resume_from=str(tmp_path))
-
-    def test_resume_from_empty_dir_is_refused(self, tmp_path):
-        with pytest.raises(CheckpointError):
-            run_sharded(_workload(), shards=2, resume_from=str(tmp_path))
-
-    def test_manifest_commits_the_window(self, tmp_path):
-        """Every committed window dir is complete: shards + coordinator.
-
-        MANIFEST.json is written last, so its presence *is* the commit;
-        pruning keeps the newest ``keep`` windows only.
-        """
-        w = _workload(seed=8)
-        res = run_sharded(
-            w, shards=2,
-            checkpoint=CheckpointConfig(dir=str(tmp_path), every=3, keep=2),
-        )
-        run_dir = tmp_path / workload_key(w, 2)
-        wins = sorted(run_dir.glob("win-*"))
-        assert 0 < len(wins) <= 2  # pruned to keep=2
-        assert res.checkpoints > len(wins)  # more were taken than kept
-        for win in wins:
-            assert (win / "MANIFEST.json").is_file()
-            assert (win / "coord.pkl").is_file()
-            assert (win / "shard-00.pkl").is_file()
-            assert (win / "shard-01.pkl").is_file()
-
-    def test_checkpoint_config_validation(self):
-        with pytest.raises(ConfigurationError):
-            CheckpointConfig(dir="x", every=0)
-        with pytest.raises(ConfigurationError):
-            CheckpointConfig(dir="x", keep=0)
-
-
-# ----------------------------------------------------------------------
-# snapshot/restore round-trip: property over protocol x radio x battery
-# ----------------------------------------------------------------------
-def _run_to_completion(workload, snapshot_at=None):
-    """Digest + RNG states of one in-process run, optionally through a
-    snapshot/restore round-trip at sim time ``snapshot_at``."""
-    world, proto = _build_worker_world(workload, defer_audit=False)
-    _schedule_rounds(world.sim, proto, workload)
-    for i, (when, src) in enumerate(workload.traffic):
-        world.sim.schedule_at(float(when), proto.send_data, int(src), None, i + 1)
-    if snapshot_at is not None:
-        world.sim.run(until=float(snapshot_at))
-        world, proto, _ = restore_world(snapshot_world(world, proto))
-    world.sim.run()
-    tx, rx = world.network.store.counter_columns()
-    digest = run_digest(world.metrics, (tx.tolist(), rx.tolist()))
-    return digest, world.sim.node_rng_states()
-
-
-class TestSnapshotRoundTrip:
     @given(
+        workers=st.sampled_from([2, 3]),
         protocol=st.sampled_from(["flooding", "spr", "mlr"]),
         lossy=st.booleans(),
         deaths=st.booleans(),
-        cut=st.floats(min_value=0.3, max_value=2.5),
-        seed=st.integers(min_value=0, max_value=2**12),
+        kill_window=st.integers(min_value=1, max_value=12),
+        seed=st.integers(min_value=0, max_value=2**10),
     )
     @settings(max_examples=6, deadline=None)
-    def test_snapshot_restore_run_is_bit_identical(
-        self, protocol, lossy, deaths, cut, seed
+    def test_kill_and_rerun_property_across_workers(
+        self, workers, protocol, lossy, deaths, kill_window, seed
     ):
-        """Pickle the world mid-run, restore, finish: nothing changes.
+        """Kill-and-rerun equals uninterrupted, across protocols, lossy
+        ARQ/burst radios, battery deaths and the worker axis.
 
-        Sampled across protocols, ideal vs lossy/ARQ/burst radios and
-        battery deaths — the full space the worker checkpoints cover.
-        The uid watermark rides the snapshot, so packets created after
-        the restore get the same uids they would have gotten.
+        A kill window past the run's last barrier never fires, so the
+        run restarts exactly when the kill lands inside it.
         """
         radio = None
         if lossy:
@@ -872,40 +753,12 @@ class TestSnapshotRoundTrip:
         w = _mlr_workload(**kw) if protocol == "mlr" else _workload(
             protocol=protocol, **kw
         )
-        ref_digest, ref_rng = _run_to_completion(w)
-        rt_digest, rt_rng = _run_to_completion(w, snapshot_at=cut)
-        assert rt_digest == ref_digest
-        assert rt_rng == ref_rng
-
-    @given(
-        workers=st.sampled_from([2, 3]),
-        protocol=st.sampled_from(["flooding", "spr"]),
-        lossy=st.booleans(),
-        seed=st.integers(min_value=0, max_value=2**10),
-    )
-    @settings(max_examples=4, deadline=None)
-    def test_crash_resume_property_across_workers(
-        self, workers, protocol, lossy, seed
-    ):
-        """Kill-and-resume equals uninterrupted, across the worker axis."""
-        radio = None
-        if lossy:
-            radio = dataclasses.replace(
-                IEEE802154.ideal(), loss_rate=0.1, arq_retries=1,
-            )
-        w = _workload(
-            n=90, field=160.0, datums=6, seed=seed,
-            protocol=protocol, radio=radio,
-        )
         ref = run_sharded(w, shards=workers)
-        # tmp_path is function-scoped; hypothesis re-runs the body, so
-        # manage a fresh directory per example instead.
-        with tempfile.TemporaryDirectory(prefix="repro-ckpt-") as d:
-            res = run_sharded(
-                w, shards=workers,
-                checkpoint=CheckpointConfig(dir=d, every=2),
-                chaos=HarnessChaos(kill_shard=workers - 1, kill_window=3),
-            )
-        assert res.restarts == 1
+        res = run_sharded(
+            w, shards=workers,
+            chaos=HarnessChaos(kill_shard=workers - 1, kill_window=kill_window),
+        )
+        assert res.restarts == (1 if kill_window <= ref.windows else 0)
         assert res.digest == ref.digest
         assert res.rng_states == ref.rng_states
+        assert res.conservation.to_jsonable() == ref.conservation.to_jsonable()
