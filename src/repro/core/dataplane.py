@@ -56,12 +56,14 @@ class DataPlaneForwarder:
     def _death_latency(self) -> float:
         """How long a battery death stays invisible to other nodes.
 
-        One MAC-header airtime: the fastest any frame — hence any
-        death evidence — can cross a link.  This equals the sharded
-        executor's window lookahead, which is exactly what makes
-        barrier-mirrored liveness bit-identical across workers: a flip
-        always reaches every worker before any node there is allowed
-        to observe it.
+        A model of death-detection latency: a neighbour learns of a
+        death only from its radio (a missed ACK or beacon), and no
+        evidence crosses a link faster than the smallest frame, one
+        MAC-header airtime.  Until then the routing layer still picks
+        the dead node as a next hop, and those frames drop at the dead
+        receiver.  The ``lifetime`` golden output depends on this
+        latency: making deaths visible at once moves MLR's mean hop
+        count there.
         """
         latency = getattr(self, "_death_latency_cache", None)
         if latency is None:
@@ -73,10 +75,9 @@ class DataPlaneForwarder:
         """What the routing layer believes about ANOTHER node's liveness.
 
         Battery deaths propagate with :attr:`_death_latency`; injected
-        fail-stop crashes (fault experiments, never sharded) remain
-        instantly visible — recovery probing depends on the failed
-        flag's HELLO abstraction.  Never use this for a node's reads of
-        its own state.
+        fail-stop crashes (fault experiments) remain instantly visible —
+        recovery probing depends on the failed flag's HELLO abstraction.
+        Never use this for a node's reads of its own state.
         """
         node = self.network.nodes[node_id]
         if node.alive:

@@ -21,8 +21,7 @@ E6c (:func:`run_scalability_xl_mlr`) repeats the sweep with MLR —
 unicast routing, discovery floods, a mid-run gateway relocation round —
 exercising the cross-shard route state and per-node RNG partitioning
 that broadcast flooding never touches.  The gateway schedule moves
-every other gateway along its own strip (same x), which is exactly the
-strip-stable mobility the sharded executor validates.
+every other gateway a quarter grid cell along y.
 """
 
 from __future__ import annotations
@@ -335,9 +334,8 @@ def make_xl_mlr_workload(
     """The E6c deployment: MLR with a mid-run gateway relocation round.
 
     The field and gateway grid match :func:`make_xl_workload`.  Each
-    gateway gets two feasible places stacked along its own strip (same
-    x, y shifted by a quarter grid cell) — the strip-stable mobility the
-    sharded executor requires.  Round 1 fires after the first half of
+    gateway gets two feasible places (same x, y shifted by a quarter
+    grid cell).  Round 1 fires after the first half of
     the traffic and moves every other gateway to its alternate place,
     so the second half exercises NOTIFY floods, re-discovery and the
     accumulated place-keyed tables across shard boundaries.

@@ -4,14 +4,14 @@ Partitions the sensor field into contiguous column strips — one worker
 process per strip — and runs the existing :class:`~repro.sim.engine.
 Simulator` / :class:`~repro.sim.radio.Channel` / :class:`~repro.sim.
 state.NodeStateStore` stack unchanged inside each worker.  Only radio
-events whose source sits within one ``comm_range`` of a strip boundary
-cross processes: receptions bound for another shard ship as timestamped
-messages over multiprocessing pipes, alive flips of boundary-band nodes
-refresh the neighbors' halo mirrors, and a conservative null-message
-window protocol (lookahead = the airtime of the smallest frame) keeps
-every worker's event order identical to the single-process schedule —
-a sharded run replays bit-identically, which the digest-equality tests
-and the merged conservation ledger (:mod:`repro.obs.merge`) assert.
+receptions cross processes: those bound for another shard ship as
+timestamped messages over multiprocessing pipes, and a conservative
+null-message window protocol (lookahead = the airtime of the smallest
+frame) keeps every worker's event order identical to the single-process
+schedule — a sharded run replays bit-identically, which the
+digest-equality tests and the merged conservation ledger
+(:mod:`repro.obs.merge`) assert.  Sharded runs are mains-powered, so no
+node's liveness changes and nothing else needs mirroring.
 
 Entry points: :class:`~repro.shard.runner.ShardWorkload` describes the
 deployment + traffic, ``run_sharded(workload, shards=N)``

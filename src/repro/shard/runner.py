@@ -13,8 +13,8 @@ the ones the single-process run uses.
 Window protocol (conservative, BSP)::
 
     worker  -> ('ready', next_event_time)
-    coord   -> ('advance', grant, deliveries, alive_updates)   # repeated
-    worker  -> ('window', next_event_time, exports, alive_flips)
+    coord   -> ('advance', grant, deliveries)          # repeated
+    worker  -> ('window', next_event_time, exports)
     coord   -> ('finish',)
     worker  -> ('done', metrics, (tx, rx), events_processed, wall_s,
                 rng_states)
@@ -24,9 +24,10 @@ workers' next event times and all not-yet-injected message arrivals, and
 the lookahead is :func:`~repro.shard.plan.conservative_lookahead`.  A
 frame sent at ``t >= horizon`` arrives at ``t + lookahead >= grant``, so
 exports collected at a barrier are never in any worker's past: workers
-run ``sim.run(until=grant, inclusive=False)`` (events strictly before
-the grant) and the coordinator injects each export exactly once, in the
-first window after it surfaced.
+run ``sim.run(until=math.nextafter(grant, -math.inf))`` — no float lies
+between that bound and the grant, so exactly the events strictly before
+the grant run — and the coordinator injects each export exactly once,
+in the first window after it surfaced.
 
 Unicast protocols (SPR, MLR) ride the same machinery: every packet —
 broadcast flood or routed unicast — crosses a strip boundary as an
@@ -35,23 +36,17 @@ discovery jitter) comes from the *acting node's* substream
 (:meth:`~repro.sim.engine.Simulator.node_rng`), which is derived from
 the seed alone and therefore identical on every worker.  Route state
 lives in the owner's routing tables and travels only in protocol
-frames; liveness is owner-authoritative, and the halo rows of the
-struct-of-arrays store mirror the owner's ``alive``/``died_at`` columns
-at window barriers.
+frames.
 
-Barrier-refreshed halo mirrors lag the owner by less than one lookahead
-window.  For liveness this lag is *exactly compensated* by the routing
-layer's delayed death belief
-(:meth:`~repro.core.dataplane.DataPlaneForwarder._believed_alive`): a
-battery death at ``t`` becomes visible to other nodes only at ``t +
-lookahead``, and since every window spans at most ``lookahead`` of sim
-time, the flip always crosses the barrier before any worker may observe
-it — death-bearing unicast workloads are therefore bit-identical, which
-the digest suite pins at 1/2/3 workers.  One caveat remains,
-measure-zero for uniform random deployments: events that tie to the
-exact same float timestamp execute in sequence order, and sequence
-numbers are per-worker, so cross-shard same-timestamp ties may order
-differently than the single-process run.
+Sharded runs are mains-powered: a workload has no battery setting,
+multi-shard runs refuse fault plans, and no shard-safe protocol puts
+nodes to sleep, so no node's liveness ever changes and frames are the
+only state that crosses a barrier.  Ownership is fixed at round 0 and never follows a moving
+gateway — receptions are routed by the receiver's owner wherever the
+sender sits.  One caveat remains, measure-zero for uniform random
+deployments: events that tie to the exact same float timestamp execute
+in sequence order, and sequence numbers are per-worker, so cross-shard
+same-timestamp ties may order differently than the single-process run.
 
 Fault tolerance.  Every pipe interaction runs through a supervised
 :class:`~repro.shard.supervise.WorkerGang` — a worker that dies, hangs
@@ -91,15 +86,14 @@ from repro.shard.plan import ShardPlan, conservative_lookahead
 from repro.shard.supervise import HarnessChaos, SupervisionConfig, WorkerGang
 from repro.sim.mobility import GatewaySchedule
 from repro.sim.radio import IEEE802154, RadioConfig
-from repro.sim.spatial import CellGrid
 from repro.sim.trace import MetricsCollector, audit_default
 from repro.world import WorldBuilder, WorldConfig
 
 __all__ = ["ShardRunResult", "ShardWorkload", "run_digest", "run_sharded"]
 
 #: Protocols whose sharded execution is bit-identical.  Flooding is
-#: broadcast-only; SPR and MLR route unicast over owner-authoritative
-#: state with every RNG draw taken from the acting node's substream, so
+#: broadcast-only; SPR and MLR route unicast over owner-held tables
+#: with every RNG draw taken from the acting node's substream, so
 #: their frames and draws shard cleanly too.  Gossiping/LEACH still draw
 #: from the *shared* ``sim.rng`` in global event order — per-worker
 #: streams would diverge — and stay unsupported.
@@ -125,12 +119,15 @@ class ShardWorkload:
     moves are replicated world state, the NOTIFY flood airs once on the
     moving gateway's owner.  Empty means one round at t=0.
 
+    Sensors are mains-powered: the workload has no battery setting, so
+    no node dies and liveness never has to cross a barrier.
+
     Construction validates everything that holds at any shard count —
     a shard-safe protocol, MLR's schedule and round times — so such a
     mistake fails where the workload is written.  :func:`run_sharded`
     repeats the check against its shard count and adds the multi-shard
-    rules (no fault plan, an unobserved medium, strip-stable MLR
-    gateways) before any worker starts.
+    rules (no fault plan, an unobserved medium) before any worker
+    starts.
     """
 
     sensor_positions: np.ndarray
@@ -141,7 +138,6 @@ class ShardWorkload:
     radio: RadioConfig = field(default_factory=IEEE802154.ideal)
     protocol: str = "flooding"
     protocol_params: dict = field(default_factory=dict)
-    sensor_battery: float = math.inf
     seed: int = 0
     rounds: tuple = ()
 
@@ -289,36 +285,6 @@ def _validate(workload: ShardWorkload, shards: int) -> None:
             "medium is global state); loss, burst, ARQ and backoff shard "
             "fine — their draws come from per-node RNG substreams"
         )
-    if workload.protocol == "mlr":
-        _validate_mlr_mobility(workload, shards)
-
-
-def _validate_mlr_mobility(workload: ShardWorkload, shards: int) -> None:
-    """Every place a gateway ever occupies must stay in its home strip.
-
-    Node ownership and the halo shards that receive a node's alive
-    flips are fixed at round 0 (the plan is built from initial
-    positions).  A gateway that crossed a cut would still be simulated
-    by its home worker, which is not in the halo of the sensors around
-    its new place — so it could miss their deaths.  Strip-stable
-    schedules keep every gateway's neighborhood inside its owner's halo.
-    """
-    schedule: GatewaySchedule = workload.protocol_params["schedule"]
-    positions = workload.positions
-    plan = ShardPlan.build(positions, workload.comm_range, shards)
-    home = plan.owner_of(positions)
-    n_rounds = len(workload.rounds) or 1
-    for r in range(n_rounds):
-        for g, place in sorted(schedule.assignment(r).items()):
-            pos = np.asarray(schedule.places.position(place), dtype=float)
-            owner = int(plan.owner_of(pos[None, :])[0])
-            if owner != int(home[g]):
-                raise ConfigurationError(
-                    f"gateway {g} moves to place {place!r} in round {r}, "
-                    f"crossing from strip {int(home[g])} to {owner}; sharded "
-                    "MLR needs strip-stable gateway schedules (ownership is "
-                    "fixed at round 0)"
-                )
 
 
 def _validate_chaos(chaos: Optional[HarnessChaos], shards: int) -> None:
@@ -377,7 +343,6 @@ def _build_worker_world(workload: ShardWorkload, defer_audit: bool):
         .sensors(np.asarray(workload.sensor_positions, dtype=float))
         .gateways(np.asarray(workload.gateway_positions, dtype=float))
         .comm_range(workload.comm_range)
-        .sensor_battery(workload.sensor_battery)
         .radio(workload.radio)
         .configure(cfg)
         .build()
@@ -420,22 +385,12 @@ def _worker_loop(
     positions = workload.positions
     owned = plan.owner_of(positions) == shard_id
     world, proto = _build_worker_world(workload, defer_audit=True)
-    sim, channel, network = world.sim, world.channel, world.network
+    sim, channel = world.sim, world.channel
     channel.configure_sharding(owned)
     _schedule_rounds(sim, proto, workload)
     for i, (when, src) in enumerate(workload.traffic):
         if owned[src]:
             sim.schedule_at(float(when), proto.send_data, int(src), None, i + 1)
-
-    # Watch set: owned nodes whose aliveness other shards can
-    # observe — everything in the comm_range band around this
-    # strip's boundary.
-    grid = CellGrid(positions, workload.comm_range)
-    band = grid.cells_in_band(plan.strip_rect(shard_id), workload.comm_range)
-    watch = [int(i) for i in band if owned[i]]
-    nodes = network.nodes
-    store = network.store
-    alive_now = {i: bool(nodes[i].alive) for i in watch}
     window_no = 0
 
     conn.send(("ready", sim.next_event_time))
@@ -443,23 +398,13 @@ def _worker_loop(
         msg = conn.recv()
         if msg[0] == "finish":
             break
-        _, grant, deliveries, alive_updates = msg
-        if alive_updates:
-            store.mirror_alive(
-                [i for i, _, _ in alive_updates],
-                [up for _, up, _ in alive_updates],
-                [t for _, _, t in alive_updates],
-            )
+        _, grant, deliveries = msg
         for arrive, receiver, sender, packet, attempt in deliveries:
             channel.deliver_remote(arrive, receiver, sender, packet, attempt)
-        sim.run(until=grant, inclusive=False)
+        # Events *at* the grant stay queued: a cross-shard frame may
+        # still arrive exactly then.
+        sim.run(until=math.nextafter(grant, -math.inf))
         window_no += 1
-        flips = []
-        for i in watch:
-            up = bool(nodes[i].alive)
-            if up != alive_now[i]:
-                alive_now[i] = up
-                flips.append((i, up, float(store.died_at[i])))
         if chaos is not None:
             # State advanced, barrier unreported — the most adversarial
             # crash point (see HarnessChaos).
@@ -467,11 +412,9 @@ def _worker_loop(
                 os.kill(os.getpid(), signal.SIGKILL)
             if chaos.delay_shard == shard_id and window_no == chaos.delay_window:
                 time.sleep(chaos.delay_s)
-        conn.send(
-            ("window", sim.next_event_time, channel.take_shard_exports(), flips)
-        )
+        conn.send(("window", sim.next_event_time, channel.take_shard_exports()))
 
-    tx, rx = store.counter_columns()
+    tx, rx = world.network.store.counter_columns()
     rng_states = {
         i: st for i, st in sim.node_rng_states().items() if owned[i]
     }
@@ -545,7 +488,6 @@ def _coordinate(
     process or pipe left behind for the caller's restart loop.
     """
     owners = plan.owner_of(positions)
-    xs = positions[:, 0]
     lookahead = conservative_lookahead(workload.radio)
 
     gang = WorkerGang(_mp_context(), supervision)
@@ -555,7 +497,6 @@ def _coordinate(
 
         nexts = [gang.recv(s, "ready")[1] for s in range(shards)]
         pending = [[] for _ in range(shards)]
-        pending_alive = [[] for _ in range(shards)]
         in_flight = []
         windows = 0
         while True:
@@ -576,13 +517,8 @@ def _coordinate(
                 )
             grant = horizon + lookahead
             for s in range(shards):
-                gang.send(
-                    s,
-                    ("advance", grant, pending[s], pending_alive[s]),
-                    phase="advance",
-                )
+                gang.send(s, ("advance", grant, pending[s]), phase="advance")
             pending = [[] for _ in range(shards)]
-            pending_alive = [[] for _ in range(shards)]
             in_flight = []
             for s in range(shards):
                 msg = gang.recv(s, "window")
@@ -590,16 +526,10 @@ def _coordinate(
                 for exp in msg[2]:
                     pending[int(owners[exp[1]])].append(exp)
                     in_flight.append(exp[0])
-                for node, up, died in msg[3]:
-                    for h in plan.halo_shards(float(xs[node])):
-                        if h != s:
-                            pending_alive[h].append((node, up, died))
             for lst in pending:
                 # Deterministic injection order regardless of which
                 # shard reported first: by (arrive, receiver).
                 lst.sort(key=lambda e: (e[0], e[1]))
-            for lst in pending_alive:
-                lst.sort()
 
         for s in range(shards):
             gang.send(s, ("finish",), phase="finish")
@@ -646,7 +576,7 @@ def run_sharded(
 
     t0 = time.perf_counter()
     positions = workload.positions
-    plan = ShardPlan.build(positions, workload.comm_range, shards)
+    plan = ShardPlan.build(positions, shards)
     restarts = 0
     attempt_chaos = chaos
     while True:

@@ -127,7 +127,6 @@ class Simulator:
         self._now = 0.0
         self._running = False
         self._horizon: Optional[float] = None
-        self._horizon_exclusive = False
         self._events_processed = 0
         self._idle_hooks: list[Callable[[], None]] = []
         self.rng: np.random.Generator = np.random.default_rng(seed)
@@ -173,24 +172,11 @@ class Simulator:
         return self._horizon
 
     @property
-    def horizon_exclusive(self) -> bool:
-        """Whether the active :meth:`run` bound excludes its endpoint.
-
-        ``run(until=t, inclusive=False)`` executes strictly-before-``t``
-        events only; batch drains must then also park entries *at* ``t``
-        (an inclusive horizon lets them drain).  Meaningless when
-        :attr:`horizon` is ``None``.
-        """
-        return self._horizon_exclusive
-
-    @property
     def next_event_time(self) -> Optional[float]:
         """Time of the next live event, or ``None`` at quiescence.
 
         Parked delivery batches are covered: their pump event always sits
-        at the earliest pending entry's key.  Conservative shard
-        synchronization uses this as the worker's lower bound on future
-        activity.
+        at the earliest pending entry's key.
         """
         key = self.peek_key()
         return None if key is None else key[0]
@@ -372,12 +358,7 @@ class Simulator:
             return True
         return False
 
-    def run(
-        self,
-        until: float | None = None,
-        max_events: int | None = None,
-        inclusive: bool = True,
-    ) -> None:
+    def run(self, until: float | None = None, max_events: int | None = None) -> None:
         """Run events in time order.
 
         Parameters
@@ -385,28 +366,22 @@ class Simulator:
         until:
             Stop once the next event lies strictly beyond this time; the
             clock is then advanced to ``until`` (so repeated ``run(until=t)``
-            calls behave like a progressing wall clock).
+            calls behave like a progressing wall clock).  Events *at*
+            ``until`` run; to leave them queued, pass
+            ``math.nextafter(t, -math.inf)`` — no float lies between that
+            bound and ``t``, and delivery batches park their entries at
+            ``t`` too.
         max_events:
             Safety valve for runaway protocols: stop after this many events.
             A batched delivery drain checks the budget only between heap
             pops, so one drain may overshoot by the entries it coalesced.
-        inclusive:
-            When ``False``, events *at* ``until`` stay queued: only
-            strictly-earlier events run, and delivery batches park their
-            at-bound entries too.  This is the conservative-window
-            primitive for sharded execution — a worker granted a window
-            ending at ``t`` must leave time ``t`` untouched, because a
-            cross-shard frame may still arrive exactly then.  The clock
-            still ends at ``until``, so arrivals at ``t`` can be
-            scheduled afterwards and execute in the next window.
+            A run the budget stops leaves the clock at its last event, so
+            the events still queued stay in its future.
         """
         if self._running:
             raise SimulationError("Simulator.run() is not reentrant")
-        if until is None and not inclusive:
-            raise SimulationError("run(inclusive=False) needs an explicit until bound")
         self._running = True
         self._horizon = until
-        self._horizon_exclusive = not inclusive
         processed_before = self._events_processed
         try:
             while self._queue:
@@ -414,12 +389,12 @@ class Simulator:
                 if nxt.cancelled:
                     heapq.heappop(self._queue)
                     continue
-                if until is not None and (when > until or (not inclusive and when >= until)):
+                if until is not None and when > until:
                     break
                 if max_events is not None and (
                     self._events_processed - processed_before >= max_events
                 ):
-                    break
+                    return
                 self.step()
             if until is not None and self._now < until:
                 self._now = until
@@ -429,7 +404,6 @@ class Simulator:
         finally:
             self._running = False
             self._horizon = None
-            self._horizon_exclusive = False
 
     def clear(self) -> None:
         """Drop all pending events (the clock is left where it is)."""

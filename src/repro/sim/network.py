@@ -131,9 +131,6 @@ class Network:
         """Ids of all GATEWAY (WMG) nodes."""
         return [n.node_id for n in self.nodes if n.kind is NodeKind.GATEWAY]
 
-    def ids_of_kind(self, kind: NodeKind) -> list[int]:
-        return [n.node_id for n in self.nodes if n.kind is kind]
-
     @property
     def topology_epoch(self) -> tuple[int, int]:
         """(edge epoch, alive version) — changes iff the link graph may have."""

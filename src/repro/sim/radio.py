@@ -248,9 +248,8 @@ class Channel:
         receiver, sender, packet, attempt)`` tuple at the point where it
         would otherwise be scheduled.  Fan-out membership is
         position-only (:meth:`Network.neighbors` ignores liveness — dead
-        receivers drop at delivery time), so exports never depend on the
-        halo mirror's alive staleness; the owning shard's delivery path
-        applies the authoritative alive check.
+        receivers drop at delivery time), and the owning shard's
+        delivery path applies the alive check.
 
         Loss draws, burst chains, backoff and ARQ jitter all shard
         cleanly because they come from the acting sender's per-node
@@ -615,21 +614,15 @@ class Channel:
             horizon = math.inf
         inf_key = (math.inf, 0)
         maxseq = sim.seq_marker + (1 << 32)  # beyond any live seq
-        # Exclusive horizons (conservative shard windows) must park even
-        # the entries *at* the bound: their horizon key sorts before any
-        # live seq, so the lexicographic min below excludes them.
-        hseq = -1 if sim.horizon_exclusive else maxseq
         received = metrics.received
         on_drop = metrics.on_drop
 
-        # Run bound: min(engine top, horizon key).  An inclusive horizon
-        # wins only when strictly earlier — a live event at the horizon
-        # still precedes parked entries with the same time and a later
-        # seq; an exclusive horizon wins ties too.
+        # Run bound: min(engine top, horizon key).  The horizon wins only
+        # when strictly earlier — a live event at the horizon still
+        # precedes parked entries with the same time and a later seq.
         top = peek() or inf_key
-        if horizon < top[0] or (horizon == top[0] and hseq < top[1]):
-            bt = horizon
-            bs = hseq
+        if horizon < top[0]:
+            bt, bs = horizon, maxseq
         else:
             bt = top[0]
             bs = top[1]
@@ -670,9 +663,8 @@ class Channel:
                         seq_mark = sim._seq
                         tk = q[0]
                         top = tk if not tk[2].cancelled else (peek() or inf_key)
-                        if horizon < top[0] or (horizon == top[0] and hseq < top[1]):
-                            bt = horizon
-                            bs = hseq
+                        if horizon < top[0]:
+                            bt, bs = horizon, maxseq
                         else:
                             bt = top[0]
                             bs = top[1]
@@ -700,9 +692,8 @@ class Channel:
                         seq_mark = sim._seq
                         tk = q[0]
                         top = tk if not tk[2].cancelled else (peek() or inf_key)
-                        if horizon < top[0] or (horizon == top[0] and hseq < top[1]):
-                            bt = horizon
-                            bs = hseq
+                        if horizon < top[0]:
+                            bt, bs = horizon, maxseq
                         else:
                             bt = top[0]
                             bs = top[1]

@@ -71,15 +71,6 @@ class CellGrid:
     def __len__(self) -> int:
         return len(self._cell_of)
 
-    @property
-    def num_occupied_cells(self) -> int:
-        return len(self._cells)
-
-    def cell_of(self, i: int) -> tuple[int, int]:
-        """Current cell coordinates of node ``i``."""
-        return self._cell_of[i]
-
-    # ------------------------------------------------------------------
     def _block_members(self, cell: tuple[int, int]) -> np.ndarray:
         """Ids of every node in the 3 × 3 block centered on ``cell``."""
         cx, cy = cell
@@ -142,57 +133,6 @@ class CellGrid:
                 row.sort()
                 rows[i] = row
         return rows
-
-    # ------------------------------------------------------------------
-    def cells_in_band(
-        self, region: tuple[float, float, float, float], width: float
-    ) -> np.ndarray:
-        """Node ids in the cells straddling ``region``'s boundary band.
-
-        ``region`` is an axis-aligned rectangle ``(x0, y0, x1, y1)``; the
-        *band* is the set of points within ``width`` of its boundary, on
-        either side.  The query is cell-granular: a cell contributes all
-        its members iff it intersects the region grown by ``width`` and
-        is not strictly contained in the region shrunk by ``width``.
-        That gives two guarantees the shard runner (and the hypothesis
-        suite) relies on:
-
-        * **superset** — every node whose distance to the boundary is at
-          most ``width`` is returned;
-        * **bounded slack** — every returned node is within
-          ``√2·(width + cell_size)`` of the boundary: the rectangle
-          tests are per-axis, so a grown-rectangle corner point can sit
-          ``√2·width`` from the region, and a contributing cell can
-          overhang by its own diagonal.
-
-        Returned ids are sorted ascending.  Degenerate regions (shrunk
-        rectangle empty) simply return everything inside the grown one.
-        """
-        x0, y0, x1, y1 = (float(v) for v in region)
-        if not (x1 >= x0 and y1 >= y0):
-            raise ConfigurationError(f"region must be a non-empty rectangle, got {region!r}")
-        if width < 0 or not math.isfinite(width):
-            raise ConfigurationError(f"band width must be non-negative and finite, got {width!r}")
-        s = self.cell_size
-        gx0, gy0, gx1, gy1 = x0 - width, y0 - width, x1 + width, y1 + width
-        sx0, sy0, sx1, sy1 = x0 + width, y0 + width, x1 - width, y1 - width
-        chunks: list[list[int]] = []
-        for (cx, cy), members in self._cells.items():
-            lo_x, lo_y = cx * s, cy * s
-            hi_x, hi_y = lo_x + s, lo_y + s
-            # Intersects the grown rectangle?
-            if hi_x <= gx0 or lo_x >= gx1 or hi_y <= gy0 or lo_y >= gy1:
-                continue
-            # Strictly inside the shrunk rectangle (open containment, so
-            # a node exactly ``width`` from the boundary is never lost)?
-            if lo_x > sx0 and hi_x < sx1 and lo_y > sy0 and hi_y < sy1:
-                continue
-            chunks.append(members)
-        if not chunks:
-            return np.empty(0, dtype=np.intp)
-        out = np.concatenate([np.asarray(c, dtype=np.intp) for c in chunks])
-        out.sort()
-        return out
 
     # ------------------------------------------------------------------
     def move(self, i: int) -> None:

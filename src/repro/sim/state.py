@@ -25,10 +25,10 @@ View invalidation
 Views never cache row values — every property reads the column at access
 time — so there is nothing to invalidate when the store mutates.  The
 one derived column, ``alive``, is *maintained*: every mutation that can
-flip liveness (battery death, ``failed``/``sleeping`` writes, halo
-mirroring) funnels through :meth:`NodeStateStore.refresh_alive`, which
-edge-detects against the stored value and fires the per-node listener
-exactly once per actual flip.  Arrays returned by
+flip liveness (battery death, ``failed``/``sleeping`` writes) funnels
+through :meth:`NodeStateStore.refresh_alive`, which edge-detects against
+the stored value and fires the per-node listener exactly once per actual
+flip.  Arrays returned by
 :meth:`energy_columns` are read-only windows onto the columns.
 """
 
@@ -190,33 +190,6 @@ class NodeStateStore:
     def set_sleeping(self, i: int, value: bool) -> None:
         self.sleeping[i] = value
         self.refresh_alive(i)
-
-    def mirror_alive(
-        self,
-        ids: Sequence[int],
-        alive: Sequence[bool],
-        died: Optional[Sequence[float]] = None,
-    ) -> None:
-        """Apply authoritative liveness to halo-mirror rows (repro.shard).
-
-        A sharded worker's rows for nodes owned by *other* shards are
-        read-only replicas: no local event ever charges or kills them, so
-        their liveness must be imported.  The update funnels through the
-        ``failed`` flag and :meth:`refresh_alive` — the same
-        edge-detected listener path local flips take — so the network's
-        maintained alive mask and cached graphs stay consistent.
-
-        ``died`` carries the owner's battery-death timestamps (``nan``
-        for a non-death flip): the routing layer's delayed liveness
-        belief (``DataPlaneForwarder._believed_alive``) reads
-        ``died_at``, so the mirror must import it for the belief to
-        flip at the same sim time on every worker.
-        """
-        for k, (i, up) in enumerate(zip(ids, alive)):
-            self.failed[i] = not up
-            if died is not None:
-                self.died_at[i] = died[k]
-            self.refresh_alive(i)
 
     def _kill_battery(self, i: int, now: float) -> None:
         """Battery exhaustion: permanent, recorded at ``now``."""

@@ -41,10 +41,6 @@ class TestEnergyModel:
         m = EnergyModel()
         assert m.rx_cost(2000) == pytest.approx(2 * m.rx_cost(1000))
 
-    def test_fixed_tx_distance_overrides(self):
-        m = EnergyModel(fixed_tx_distance=50.0)
-        assert m.tx_cost(1000, 5.0) == m.tx_cost(1000, 500.0)
-
     def test_tx_cost_zero_bits(self):
         assert EnergyModel().tx_cost(0, 100) == 0.0
 

@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event engine."""
 
+import math
+
 import pytest
 
 from repro.exceptions import SimulationError
@@ -113,16 +115,17 @@ def test_run_until_is_repeatable_like_a_clock():
 
 
 def test_run_exclusive_parks_events_at_the_bound():
+    # The exclusive form of a bound t is the largest float below it.
     sim = Simulator(seed=0)
     fired = []
     sim.schedule_at(1.0, fired.append, "a")
     sim.schedule_at(2.0, fired.append, "b")
-    sim.run(until=2.0, inclusive=False)
+    sim.run(until=math.nextafter(2.0, -math.inf))
     assert fired == ["a"]  # the event AT the bound stays queued
-    assert sim.now == 2.0
+    assert sim.now < 2.0
     assert sim.next_event_time == 2.0
-    # Scheduling at now (== the previous exclusive bound) is legal and
-    # FIFO order among the t=2.0 events is preserved.
+    # Scheduling at the bound afterwards is legal and FIFO order among
+    # the t=2.0 events is preserved.
     sim.schedule_at(2.0, fired.append, "c")
     sim.run()
     assert fired == ["a", "b", "c"]
@@ -158,6 +161,27 @@ def test_max_events_safety_valve():
     sim.run(max_events=50)
     assert sim.events_processed == 50
     assert sim.pending > 0
+
+
+def test_max_events_stop_keeps_the_clock_before_queued_events():
+    # A run stopped by its event budget must not jump the clock to
+    # ``until``: the events still queued would then lie in the past.
+    sim = Simulator(seed=0)
+    fired = []
+    for t in range(1, 10):
+        sim.schedule_at(float(t), fired.append, t)
+    sim.run(until=20.0, max_events=3)
+    assert fired == [1, 2, 3]
+    assert sim.now == 3.0
+    assert sim.pending == 6
+    # Budget spent with nothing left at or before ``until``: the clock
+    # does move on to it.
+    sim.schedule_at(25.0, fired.append, 25)
+    sim.run(until=20.0, max_events=6)
+    assert fired == list(range(1, 10))
+    assert sim.now == 20.0
+    sim.run()
+    assert fired[-1] == 25 and sim.now == 25.0
 
 
 def test_max_events_does_not_count_cancelled_events():

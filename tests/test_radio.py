@@ -1,5 +1,7 @@
 """Unit tests for the channel: delivery, energy charging, loss, collisions."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -250,3 +252,51 @@ class TestRadioConfig:
             RadioConfig(name="x", bitrate=0, comm_range=10)
         with pytest.raises(ConfigurationError):
             RadioConfig(name="x", bitrate=1, comm_range=10, loss_rate=1.5)
+
+
+class TestPumpHorizon:
+    """The batched broadcast pump honours a ``run(until=...)`` horizon
+    that lands exactly on a delivery time."""
+
+    @staticmethod
+    def _world():
+        # Two receivers 5 m from the sender share the earliest arrival
+        # time T; a third, 10 m away, hears the frame just after.
+        sensors = np.array([[0.0, 0.0], [5.0, 0.0], [-5.0, 0.0], [10.0, 0.0]])
+        gateway = np.array([[20.0, 0.0]])
+        net = build_sensor_network(sensors, gateway, comm_range=12.0)
+        sim = Simulator(seed=1)
+        radio = RadioConfig(name="test", bitrate=250_000, comm_range=12.0).ideal()
+        ch = Channel(sim, net, radio, metrics=MetricsCollector())
+        arrivals = []
+        for n in net.nodes:
+            n.handler = (lambda i: (lambda p: arrivals.append((sim.now, i))))(n.node_id)
+        ch.send(0, _data(0))
+        return sim, net, ch, arrivals
+
+    @staticmethod
+    def _counters(net, ch):
+        m = ch.metrics
+        tx, rx = net.store.counter_columns()
+        return (
+            dict(m.sent), dict(m.received), dict(m.drops),
+            tx.tolist(), rx.tolist(), net.store.spent_rx.tolist(),
+        )
+
+    def test_pump_stops_at_a_horizon_on_an_entry_time(self):
+        sim, net, ch, arrivals = self._world()
+        sim.run()
+        ref_arrivals = list(arrivals)
+        ref = self._counters(net, ch)
+        t_first = min(t for t, _ in ref_arrivals)
+        at_first = [i for t, i in ref_arrivals if t == t_first]
+        assert len(at_first) == 2 and len(ref_arrivals) == 3
+
+        sim, net, ch, arrivals = self._world()
+        sim.run(until=math.nextafter(t_first, -math.inf))
+        assert arrivals == []
+        sim.run(until=t_first)
+        assert arrivals == [(t_first, i) for i in at_first]
+        sim.run()
+        assert arrivals == ref_arrivals
+        assert self._counters(net, ch) == ref

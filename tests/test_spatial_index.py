@@ -312,77 +312,3 @@ class TestSimulationEquivalence:
             )
 
         assert run(dense=False) == run(dense=True)
-
-
-# ----------------------------------------------------------------------
-# boundary-band queries (shard halo watch sets)
-# ----------------------------------------------------------------------
-class TestCellsInBand:
-    """``cells_in_band`` vs a brute-force distance-to-boundary filter."""
-
-    @staticmethod
-    def _boundary_distance(p, region):
-        """Distance from ``p`` to the boundary curve of ``region``."""
-        import math
-
-        x0, y0, x1, y1 = region
-        x, y = float(p[0]), float(p[1])
-        dx = max(x0 - x, 0.0, x - x1)
-        dy = max(y0 - y, 0.0, y - y1)
-        outside = math.hypot(dx, dy)
-        if outside > 0.0:
-            return outside
-        return min(x - x0, x1 - x, y - y0, y1 - y)
-
-    @given(
-        seed=st.integers(min_value=0, max_value=10**6),
-        n=st.integers(min_value=1, max_value=60),
-        width=st.floats(min_value=0.0, max_value=40.0),
-        fx0=st.floats(min_value=0.0, max_value=0.6),
-        fy0=st.floats(min_value=0.0, max_value=0.6),
-        fx1=st.floats(min_value=0.0, max_value=0.6),
-        fy1=st.floats(min_value=0.0, max_value=0.6),
-        cell=st.floats(min_value=5.0, max_value=50.0),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_superset_and_bounded_slack(
-        self, seed, n, width, fx0, fy0, fx1, fy1, cell
-    ):
-        import math
-
-        pos = _positions(n, seed, field=120.0)
-        region = (
-            120.0 * fx0,
-            120.0 * fy0,
-            120.0 * (1.0 - fx1),
-            120.0 * (1.0 - fy1),
-        )
-        if region[2] < region[0] or region[3] < region[1]:
-            return
-        grid = CellGrid(pos, cell)
-        got = set(int(i) for i in grid.cells_in_band(region, width))
-        # Per-axis rectangle tests: a grown-rect corner point can sit
-        # sqrt(2)*width from the region, plus a cell-diagonal overhang.
-        slack = math.sqrt(2.0) * (width + cell)
-        for i in range(n):
-            d = self._boundary_distance(pos[i], region)
-            if d <= width:
-                assert i in got, f"node {i} at boundary distance {d} missed"
-            if i in got:
-                assert d <= slack, f"node {i} at distance {d} > slack {slack}"
-
-    def test_output_is_sorted_and_typed(self):
-        pos = _positions(40, 3)
-        grid = CellGrid(pos, 10.0)
-        out = grid.cells_in_band((20.0, 20.0, 80.0, 80.0), 5.0)
-        assert out.dtype == np.intp
-        assert list(out) == sorted(out)
-
-    def test_rejects_bad_region_and_width(self):
-        grid = CellGrid(_positions(10, 0), 10.0)
-        with pytest.raises(ConfigurationError):
-            grid.cells_in_band((50.0, 0.0, 10.0, 10.0), 5.0)
-        with pytest.raises(ConfigurationError):
-            grid.cells_in_band((0.0, 0.0, 10.0, 10.0), -1.0)
-        with pytest.raises(ConfigurationError):
-            grid.cells_in_band((0.0, 0.0, 10.0, 10.0), float("inf"))
