@@ -10,10 +10,13 @@ worker counts — and checks two things at once:
   pass the merged-ledger conservation audit.  A digest mismatch is a
   hard failure, not a slow run.
 * **Scaling** — the headline ``speedup`` is ``wall(1 worker) /
-  wall(max workers)``.  Speedup only materializes with real cores:
-  the record stores ``cpu_count`` so a number taken on a 1-CPU
-  container is not mistaken for a regression.  The CI job on a
-  multi-core runner gates with ``--min-speedup``.
+  wall(max workers)``, recorded with ``cpu_count``.  No recorded run
+  is a speedup: the committed ``BENCH_shard.json`` holds 0.33x at
+  ``cpu_count`` 2, and the event critical-path bound measured in
+  ``ROADMAP.md`` (the busiest shard's events summed over windows) keeps
+  it under 2x at 2–4 workers even with free barriers.  The CI
+  ``shard-smoke`` job passes ``--min-speedup 1.2``, a gate no recorded
+  run has met.
 
 It exits non-zero on a degenerate workload — a flood or MLR workload
 that delivers no datum, or any leg that fails the conservation audit —

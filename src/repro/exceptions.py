@@ -59,10 +59,10 @@ class ShardWorkerError(SimulationError):
         retried.  ``"died"`` — the process vanished without a final
         message (SIGKILL, OOM, a closed pipe); ``exitcode`` holds the
         exit status when known.  ``"deadline"`` — the worker stayed
-        alive but did not answer within the configured per-window
-        timeout.  Deaths and deadline expiries are *retryable*: the
+        alive but did not answer within the coordinator's fixed reply
+        deadline.  Deaths and deadline expiries are *retryable*: the
         coordinator respawns the gang and reruns the workload from
-        scratch, up to ``max_restarts`` times.
+        scratch, a bounded number of times.
     ``phase``
         The protocol step being sent (``"advance"``, ``"finish"``) or
         waited on (``"ready"``, ``"window"``, ``"done"``).

@@ -168,8 +168,6 @@ def merge_collectors(parts: Iterable[MetricsCollector]) -> MetricsCollector:
         merged.drops.update(part.drops)
         merged.bytes_sent += part.bytes_sent
         merged.data_generated += part.data_generated
-        merged.control_frames += part.control_frames
-        merged.data_frames += part.data_frames
         merged.deliveries.extend(part.deliveries)
         if part.first_death is not None and (
             merged.first_death is None or part.first_death[1] < merged.first_death[1]

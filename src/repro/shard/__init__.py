@@ -18,19 +18,18 @@ deployment + traffic, ``run_sharded(workload, shards=N)``
 (:func:`~repro.shard.runner.run_sharded`) executes it on ``N`` workers
 (the default ``shards=1`` is the plain single-process path).
 
-Fault tolerance: the coordinator supervises its gang through
-:class:`~repro.shard.supervise.WorkerGang` (deadline-bounded receives,
-structured :class:`~repro.exceptions.ShardWorkerError`, total teardown)
-and, after a worker death or deadline expiry, respawns the gang and
-reruns the workload from scratch — deterministically: every worker
-forks from the same coordinator state and every draw derives from the
-seed, so the rerun's digest and per-node RNG states equal the
-uninterrupted run's.
+Fault tolerance: every worker reply is bounded by a fixed deadline, a
+dead worker reads as EOF on its pipe at once, and any failure surfaces
+as a structured :class:`~repro.exceptions.ShardWorkerError` with the
+whole gang torn down.  After a worker death or deadline expiry the
+coordinator respawns the gang and reruns the workload from scratch —
+deterministically: every worker forks from the same coordinator state
+and every draw derives from the seed, so the rerun's digest and
+per-node RNG states equal the uninterrupted run's.
 """
 
 from repro.shard.plan import ShardPlan, conservative_lookahead
 from repro.shard.runner import ShardRunResult, ShardWorkload, run_digest, run_sharded
-from repro.shard.supervise import HarnessChaos, SupervisionConfig, WorkerGang
 
 __all__ = [
     "ShardPlan",
@@ -39,7 +38,4 @@ __all__ = [
     "ShardWorkload",
     "run_digest",
     "run_sharded",
-    "HarnessChaos",
-    "SupervisionConfig",
-    "WorkerGang",
 ]

@@ -48,17 +48,17 @@ deployments: events that tie to the exact same float timestamp execute
 in sequence order, and sequence numbers are per-worker, so cross-shard
 same-timestamp ties may order differently than the single-process run.
 
-Fault tolerance.  Every pipe interaction runs through a supervised
-:class:`~repro.shard.supervise.WorkerGang` — a worker that dies, hangs
-past the per-window deadline, or raises remotely surfaces as a
-structured :class:`~repro.exceptions.ShardWorkerError` within a bounded
-time, and the gang is torn down on every exit path (no orphans, no
-leaked pipes).  On a retryable failure (death or deadline) the
-coordinator respawns the gang and reruns the workload from scratch — up
-to ``max_restarts`` times with exponential backoff.  The rerun is
-*bit-identical* (digest and per-node RNG states) to an uninterrupted
-run: every worker forks from the same coordinator state and every draw
-derives from the seed.
+Fault tolerance.  Every worker reply is bounded by ``_REPLY_TIMEOUT_S``,
+and a worker that dies, stalls past it, or raises remotely surfaces as a
+structured :class:`~repro.exceptions.ShardWorkerError`; the gang is torn
+down on every exit path (no orphans, no leaked pipes).  A dead worker is
+seen at once, not at the deadline: only the worker holds its end of the
+pipe, so its death reads as EOF on the coordinator's end.  On a
+retryable failure (death or deadline) the coordinator respawns the gang
+and reruns the workload from scratch, at most ``_MAX_RERUNS`` times.
+The rerun is *bit-identical* (digest and per-node RNG states) to an
+uninterrupted run: every worker forks from the same coordinator state
+and every draw derives from the seed.
 """
 
 from __future__ import annotations
@@ -67,8 +67,6 @@ import hashlib
 import json
 import math
 import multiprocessing
-import os
-import signal
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -83,7 +81,6 @@ from repro.exceptions import ConfigurationError, ShardWorkerError, SimulationErr
 from repro.obs.audit import ConservationReport, assert_conserved, audit_collector
 from repro.obs.merge import merge_collectors
 from repro.shard.plan import ShardPlan, conservative_lookahead
-from repro.shard.supervise import HarnessChaos, SupervisionConfig, WorkerGang
 from repro.sim.mobility import GatewaySchedule
 from repro.sim.radio import IEEE802154, RadioConfig
 from repro.sim.trace import MetricsCollector, audit_default
@@ -102,6 +99,19 @@ _SHARD_SAFE_PROTOCOLS = {"flooding": Flooding, "spr": SPR, "mlr": MLR}
 #: Livelock guard: a sharded run needing more window barriers than this
 #: raises :class:`~repro.exceptions.SimulationError`.
 _MAX_WINDOWS = 1_000_000
+
+#: The longest the coordinator blocks on any one worker reply.  Generous
+#: — a 100k-node window can legitimately take a while — but finite, so a
+#: worker that stays alive without answering surfaces as ``deadline``.
+_REPLY_TIMEOUT_S = 120.0
+#: Gang respawns, each rerunning the workload from scratch, before a
+#: worker death or deadline expiry is re-raised.
+_MAX_RERUNS = 2
+#: How long teardown waits for a worker to exit after its pipe is closed
+#: and ``terminate()`` was sent, before escalating to ``kill()``.
+_JOIN_TIMEOUT_S = 10.0
+#: Pipe-level failures that mean "the peer is gone", not "bad data".
+_PIPE_DEATH = (EOFError, OSError)
 
 
 @dataclass
@@ -174,7 +184,7 @@ class ShardRunResult:
     #: owners' states, so equality with the single-process leg proves
     #: the partitioned streams were consumed identically.
     rng_states: dict = field(default_factory=dict)
-    #: gang respawns the supervision loop performed (0 = clean run)
+    #: gang respawns, each a rerun from scratch (0 = clean run)
     restarts: int = 0
 
 
@@ -287,30 +297,6 @@ def _validate(workload: ShardWorkload, shards: int) -> None:
         )
 
 
-def _validate_chaos(chaos: Optional[HarnessChaos], shards: int) -> None:
-    """Reject harness chaos that could never fire.
-
-    Chaos needs a worker gang, and its target shards must be workers of
-    this run — a mis-aimed kill would otherwise pass a recovery test
-    without any crash happening.  A kill window past the last barrier
-    cannot be known in advance and stays legal.
-    """
-    if chaos is None:
-        return
-    if shards == 1:
-        raise ConfigurationError(
-            "chaos requires a sharded execution (shards > 1); the "
-            "single-process leg has no worker gang to supervise"
-        )
-    for name in ("kill_shard", "delay_shard"):
-        target = getattr(chaos, name)
-        if target is not None and target not in range(shards):
-            raise ConfigurationError(
-                f"HarnessChaos {name}={target!r} names no worker of a "
-                f"{shards}-shard run (valid: 0..{shards - 1})"
-            )
-
-
 def _schedule_rounds(sim, proto, workload: ShardWorkload) -> None:
     """Arm MLR round starts at identical sim times on every leg.
 
@@ -356,15 +342,9 @@ def _build_worker_world(workload: ShardWorkload, defer_audit: bool):
 # ----------------------------------------------------------------------
 # the worker process
 # ----------------------------------------------------------------------
-def _worker_main(
-    conn,
-    workload: ShardWorkload,
-    shard_id: int,
-    plan: ShardPlan,
-    chaos: Optional[HarnessChaos] = None,
-) -> None:
+def _worker_main(conn, workload: ShardWorkload, shard_id: int, plan: ShardPlan) -> None:
     try:
-        _worker_loop(conn, workload, shard_id, plan, chaos)
+        _worker_loop(conn, workload, shard_id, plan)
     except BaseException:
         try:
             conn.send(("error", traceback.format_exc()))
@@ -374,13 +354,7 @@ def _worker_main(
         conn.close()
 
 
-def _worker_loop(
-    conn,
-    workload: ShardWorkload,
-    shard_id: int,
-    plan: ShardPlan,
-    chaos: Optional[HarnessChaos],
-) -> None:
+def _worker_loop(conn, workload: ShardWorkload, shard_id: int, plan: ShardPlan) -> None:
     t0 = time.perf_counter()
     positions = workload.positions
     owned = plan.owner_of(positions) == shard_id
@@ -391,7 +365,6 @@ def _worker_loop(
     for i, (when, src) in enumerate(workload.traffic):
         if owned[src]:
             sim.schedule_at(float(when), proto.send_data, int(src), None, i + 1)
-    window_no = 0
 
     conn.send(("ready", sim.next_event_time))
     while True:
@@ -404,14 +377,6 @@ def _worker_loop(
         # Events *at* the grant stay queued: a cross-shard frame may
         # still arrive exactly then.
         sim.run(until=math.nextafter(grant, -math.inf))
-        window_no += 1
-        if chaos is not None:
-            # State advanced, barrier unreported — the most adversarial
-            # crash point (see HarnessChaos).
-            if chaos.kill_shard == shard_id and window_no == chaos.kill_window:
-                os.kill(os.getpid(), signal.SIGKILL)
-            if chaos.delay_shard == shard_id and window_no == chaos.delay_window:
-                time.sleep(chaos.delay_s)
         conn.send(("window", sim.next_event_time, channel.take_shard_exports()))
 
     tx, rx = world.network.store.counter_columns()
@@ -472,30 +437,90 @@ def _run_single(workload: ShardWorkload) -> ShardRunResult:
     )
 
 
+def _send(workers: list, shard: int, msg: tuple, phase: str) -> None:
+    conn, proc = workers[shard]
+    try:
+        conn.send(msg)
+    except _PIPE_DEATH as exc:
+        raise ShardWorkerError(
+            shard, "died", phase=phase, detail=str(exc), exitcode=proc.exitcode,
+        ) from exc
+
+
+def _recv(workers: list, shard: int, phase: str) -> tuple:
+    """One receive from worker ``shard``, bounded by ``_REPLY_TIMEOUT_S``.
+
+    A reply the worker wrote before it died is still delivered (the pipe
+    buffer outlives the sender); the death surfaces on the next receive.
+    """
+    conn, proc = workers[shard]
+    try:
+        if not conn.poll(_REPLY_TIMEOUT_S):
+            raise ShardWorkerError(
+                shard, "deadline", phase=phase,
+                detail=f"no reply within {_REPLY_TIMEOUT_S}s",
+            )
+        msg = conn.recv()
+    except _PIPE_DEATH as exc:
+        raise ShardWorkerError(
+            shard, "died", phase=phase, detail=str(exc), exitcode=proc.exitcode,
+        ) from exc
+    if msg[0] == "error":
+        raise ShardWorkerError(shard, "remote", phase=phase, detail=msg[1])
+    return msg
+
+
+def _teardown(workers: list) -> None:
+    """Close every pipe and stop every worker; nothing is left running.
+
+    Stragglers are terminated, then killed, and every process is joined,
+    so none is left a zombie either.
+    """
+    for conn, _ in workers:
+        try:
+            conn.close()
+        except OSError:  # pragma: no cover - already closed
+            pass
+    for _, proc in workers:
+        if proc.is_alive():
+            proc.terminate()
+    deadline = time.monotonic() + _JOIN_TIMEOUT_S
+    for _, proc in workers:
+        proc.join(timeout=max(deadline - time.monotonic(), 0.1))
+    for _, proc in workers:
+        if proc.is_alive():  # pragma: no cover - terminate() ignored
+            proc.kill()
+            proc.join(timeout=_JOIN_TIMEOUT_S)
+
+
 def _coordinate(
-    workload: ShardWorkload,
-    shards: int,
-    plan: ShardPlan,
-    positions: np.ndarray,
-    supervision: SupervisionConfig,
-    chaos: Optional[HarnessChaos],
+    workload: ShardWorkload, shards: int, plan: ShardPlan, positions: np.ndarray
 ):
     """Drive one gang generation from spawn to done; return the payloads.
 
-    Spawns the workers, runs the window protocol with supervised
-    sends/receives, and *always* tears the gang down — a worker failure
-    propagates as :class:`~repro.exceptions.ShardWorkerError` with no
-    process or pipe left behind for the caller's restart loop.
+    Spawns the workers, runs the window protocol with bounded receives,
+    and *always* tears the gang down — a worker failure propagates as
+    :class:`~repro.exceptions.ShardWorkerError` with no process or pipe
+    left behind for the caller's rerun loop.
     """
     owners = plan.owner_of(positions)
     lookahead = conservative_lookahead(workload.radio)
 
-    gang = WorkerGang(_mp_context(), supervision)
+    ctx = _mp_context()
+    workers: list = []
     try:
         for s in range(shards):
-            gang.spawn(_worker_main, (workload, s, plan, chaos))
+            conn, child = ctx.Pipe()
+            proc = ctx.Process(
+                target=_worker_main, args=(child, workload, s, plan), daemon=True
+            )
+            proc.start()
+            # The worker now holds the only copy of its end, so its death
+            # reads as EOF on ours at once.
+            child.close()
+            workers.append((conn, proc))
 
-        nexts = [gang.recv(s, "ready")[1] for s in range(shards)]
+        nexts = [_recv(workers, s, "ready")[1] for s in range(shards)]
         pending = [[] for _ in range(shards)]
         in_flight = []
         windows = 0
@@ -517,11 +542,11 @@ def _coordinate(
                 )
             grant = horizon + lookahead
             for s in range(shards):
-                gang.send(s, ("advance", grant, pending[s]), phase="advance")
+                _send(workers, s, ("advance", grant, pending[s]), "advance")
             pending = [[] for _ in range(shards)]
             in_flight = []
             for s in range(shards):
-                msg = gang.recv(s, "window")
+                msg = _recv(workers, s, "window")
                 nexts[s] = msg[1]
                 for exp in msg[2]:
                     pending[int(owners[exp[1]])].append(exp)
@@ -532,19 +557,14 @@ def _coordinate(
                 lst.sort(key=lambda e: (e[0], e[1]))
 
         for s in range(shards):
-            gang.send(s, ("finish",), phase="finish")
-        payloads = [gang.recv(s, "done") for s in range(shards)]
+            _send(workers, s, ("finish",), "finish")
+        payloads = [_recv(workers, s, "done") for s in range(shards)]
     finally:
-        gang.shutdown()
+        _teardown(workers)
     return payloads, windows
 
 
-def run_sharded(
-    workload: ShardWorkload,
-    shards: int = 1,
-    supervision: Optional[SupervisionConfig] = None,
-    chaos: Optional[HarnessChaos] = None,
-) -> ShardRunResult:
+def run_sharded(workload: ShardWorkload, shards: int = 1) -> ShardRunResult:
     """Execute ``workload`` across ``shards`` worker processes.
 
     ``shards`` is the one place the worker count is set; ``1`` (the
@@ -553,24 +573,16 @@ def run_sharded(
     :class:`~repro.exceptions.ConservationError`, the same contract the
     single-process idle hook enforces at quiescence.
 
-    Fault tolerance (multi-shard only):
-
-    ``supervision``
-        :class:`~repro.shard.supervise.SupervisionConfig` — per-window
-        deadline and restart budget.  Defaults apply when omitted.  A
-        worker death or deadline expiry respawns the gang and reruns
-        the workload from scratch, up to ``max_restarts`` times; the
-        rerun is bit-identical to an uninterrupted run.  Remote Python
-        exceptions re-raise immediately (deterministic; a rerun would
-        replay them).
-    ``chaos``
-        Test-only :class:`~repro.shard.supervise.HarnessChaos`, armed on
-        the first gang generation only.  Its ``kill_shard`` and
-        ``delay_shard`` must name workers of this run.
+    A multi-shard run that loses a worker, or waits longer than
+    ``_REPLY_TIMEOUT_S`` for a reply, respawns the gang and reruns the
+    workload from scratch, at most ``_MAX_RERUNS`` times; the rerun is
+    bit-identical to an uninterrupted run, and
+    :attr:`ShardRunResult.restarts` counts the respawns.  A remote Python
+    exception re-raises at once as
+    :class:`~repro.exceptions.ShardWorkerError`: it is deterministic, so
+    a rerun would replay it.
     """
     _validate(workload, shards)
-    _validate_chaos(chaos, shards)
-    supervision = supervision or SupervisionConfig()
     if shards == 1:
         return _run_single(workload)
 
@@ -578,19 +590,14 @@ def run_sharded(
     positions = workload.positions
     plan = ShardPlan.build(positions, shards)
     restarts = 0
-    attempt_chaos = chaos
     while True:
         try:
-            payloads, windows = _coordinate(
-                workload, shards, plan, positions, supervision, attempt_chaos,
-            )
+            payloads, windows = _coordinate(workload, shards, plan, positions)
             break
         except ShardWorkerError as exc:
-            if not exc.retryable or restarts >= supervision.max_restarts:
+            if not exc.retryable or restarts >= _MAX_RERUNS:
                 raise
             restarts += 1
-            attempt_chaos = None
-            time.sleep(supervision.backoff_s(restarts - 1))
 
     collectors = [p[1] for p in payloads]
     tx = np.sum([np.asarray(p[2][0], dtype=np.int64) for p in payloads], axis=0)

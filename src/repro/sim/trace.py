@@ -84,8 +84,6 @@ class MetricsCollector:
     data_generated: int = 0
     deliveries: list[DeliveryRecord] = field(default_factory=list)
     first_death: Optional[tuple[int, float]] = None  # (node_id, time)
-    control_frames: int = 0
-    data_frames: int = 0
     #: Enforce conservation: attach a ledger and make overcounting raise.
     audit: bool = field(default_factory=audit_default)
     ledger: Optional["PacketLedger"] = None
@@ -104,16 +102,22 @@ class MetricsCollector:
 
             self.ledger = PacketLedger()
 
+    @property
+    def data_frames(self) -> int:
+        """DATA frames put on air."""
+        return self.sent[PacketKind.DATA]
+
+    @property
+    def control_frames(self) -> int:
+        """Frames of every other kind put on air."""
+        return sum(self.sent.values()) - self.sent[PacketKind.DATA]
+
     # ------------------------------------------------------------------
     # channel-side hooks
     # ------------------------------------------------------------------
     def on_send(self, packet: Packet) -> None:
         self.sent[packet.kind] += 1
         self.bytes_sent += packet.size_bytes()
-        if packet.kind is PacketKind.DATA:
-            self.data_frames += 1
-        else:
-            self.control_frames += 1
         if self.ledger is not None:
             self.ledger.on_frame_sent(packet)
 

@@ -13,9 +13,13 @@ with a gateway that moves across a strip cut) and for lossy/ARQ radios
 whose draws come from per-node RNG substreams.
 """
 
+import contextlib
 import dataclasses
+import itertools
 import math
 import multiprocessing
+import os
+import signal
 import time
 from collections import Counter
 
@@ -24,17 +28,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import ConfigurationError, ShardWorkerError
+from repro.experiments.scalability import make_xl_workload
 from repro.obs.ledger import DatumState, PacketLedger
 from repro.obs.merge import merge_collectors, merge_ledgers
 from repro.runner.spec import cache_key
-from repro.shard import (
-    HarnessChaos,
-    ShardPlan,
-    ShardWorkload,
-    SupervisionConfig,
-    conservative_lookahead,
-    run_sharded,
-)
+from repro.shard import ShardPlan, ShardWorkload, conservative_lookahead, run_sharded, runner
 from repro.shard.runner import _validate
 from repro.sim.mobility import FeasiblePlaces, GatewaySchedule
 from repro.sim.network import uniform_deployment
@@ -571,6 +569,49 @@ def _no_orphans() -> bool:
     return False
 
 
+@contextlib.contextmanager
+def _harness_fault(shard, window, delay_s=0.0, times=1):
+    """Kill worker ``shard`` at its ``window``-th reply, or stall it.
+
+    Patches the worker entry point, which the fork context carries into
+    every worker.  Worker ``shard`` SIGKILLs itself right after it
+    simulates window ``window`` (1-based) and before it reports — state
+    advanced, barrier unreported, the most adversarial crash point — or,
+    with ``delay_s``, sleeps that long before the reply.  The fault fires
+    in at most ``times`` gang generations (``None``: every one); the
+    yielded shared counter says how many it fired in.  The FaultPlan idea
+    of E14, aimed at the harness instead of the simulated network.
+    """
+    fired = runner._mp_context().Value("i", 0)
+    real_loop = runner._worker_loop
+
+    def arm() -> bool:
+        with fired.get_lock():
+            if times is not None and fired.value >= times:
+                return False
+            fired.value += 1
+            return True
+
+    def faulty_loop(conn, workload, shard_id, plan):
+        if shard_id == shard:
+            send, replies = conn.send, itertools.count(1)
+
+            def send_or_fail(msg):
+                if msg[0] == "window" and next(replies) == window and arm():
+                    if delay_s:
+                        time.sleep(delay_s)
+                    else:
+                        os.kill(os.getpid(), signal.SIGKILL)
+                send(msg)
+
+            conn.send = send_or_fail
+        real_loop(conn, workload, shard_id, plan)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(runner, "_worker_loop", faulty_loop)
+        yield fired
+
+
 # ----------------------------------------------------------------------
 # supervision: structured failures, bounded waits, no orphans
 # ----------------------------------------------------------------------
@@ -593,69 +634,46 @@ class TestSupervision:
         assert _no_orphans()
 
     def test_chaos_kill_without_restart_budget_raises_died(self):
-        """SIGKILL with ``max_restarts=0``: the death surfaces, no rerun."""
-        chaos = HarnessChaos(kill_shard=1, kill_window=2)
-        with pytest.raises(ShardWorkerError) as exc_info:
-            run_sharded(
-                _workload(), shards=2, chaos=chaos,
-                supervision=SupervisionConfig(max_restarts=0),
-            )
+        """A kill in every gang generation exhausts the rerun budget:
+        the death surfaces after ``_MAX_RERUNS`` reruns."""
+        with _harness_fault(shard=1, window=2, times=None) as fired:
+            with pytest.raises(ShardWorkerError) as exc_info:
+                run_sharded(_workload(), shards=2)
         err = exc_info.value
         assert err.kind == "died"
         assert err.shard == 1
         assert err.retryable is True
+        assert fired.value == runner._MAX_RERUNS + 1
         assert _no_orphans()
 
-    def test_hung_worker_hits_deadline_not_the_hang(self):
+    def test_dead_worker_surfaces_at_once_not_at_the_deadline(self, monkeypatch):
+        """A SIGKILLed worker's pipe reads EOF at once, so its death is
+        reported in well under the reply deadline."""
+        monkeypatch.setattr(runner, "_MAX_RERUNS", 0)
+        assert runner._REPLY_TIMEOUT_S >= 60.0
+        t0 = time.monotonic()
+        with _harness_fault(shard=1, window=2):
+            with pytest.raises(ShardWorkerError) as exc_info:
+                run_sharded(_workload(), shards=2)
+        elapsed = time.monotonic() - t0
+        assert exc_info.value.kind == "died"
+        assert exc_info.value.shard == 1
+        assert elapsed < 5.0
+        assert _no_orphans()
+
+    def test_hung_worker_hits_deadline_not_the_hang(self, monkeypatch):
         """A stalled reply is bounded by the deadline, not the stall."""
         delay = 20.0
-        chaos = HarnessChaos(delay_shard=0, delay_window=1, delay_s=delay)
-        sup = SupervisionConfig(window_timeout_s=0.3, max_restarts=0)
+        monkeypatch.setattr(runner, "_REPLY_TIMEOUT_S", 0.3)
+        monkeypatch.setattr(runner, "_MAX_RERUNS", 0)
         t0 = time.monotonic()
-        with pytest.raises(ShardWorkerError) as exc_info:
-            run_sharded(
-                _workload(n=90, field=160.0, datums=6),
-                shards=2, chaos=chaos, supervision=sup,
-            )
+        with _harness_fault(shard=0, window=1, delay_s=delay):
+            with pytest.raises(ShardWorkerError) as exc_info:
+                run_sharded(_workload(n=90, field=160.0, datums=6), shards=2)
         elapsed = time.monotonic() - t0
         assert exc_info.value.kind == "deadline"
         assert elapsed < delay  # the 20 s stall was never waited out
         assert _no_orphans()
-
-    def test_supervision_config_validation(self):
-        with pytest.raises(ConfigurationError):
-            SupervisionConfig(window_timeout_s=0.0)
-        with pytest.raises(ConfigurationError):
-            SupervisionConfig(max_restarts=-1)
-        assert SupervisionConfig().backoff_s(2) == pytest.approx(0.4)
-
-    def test_harness_chaos_validation(self):
-        with pytest.raises(ConfigurationError):
-            HarnessChaos()  # neither a kill nor a delay
-        with pytest.raises(ConfigurationError):
-            HarnessChaos(kill_shard=0, kill_window=0)
-        with pytest.raises(ConfigurationError):
-            HarnessChaos(delay_shard=0, delay_s=0.0)
-
-    def test_single_process_leg_rejects_chaos(self):
-        with pytest.raises(ConfigurationError):
-            run_sharded(_workload(), shards=1, chaos=HarnessChaos(kill_shard=0))
-
-    @pytest.mark.parametrize(
-        "chaos",
-        [
-            HarnessChaos(kill_shard=2),
-            HarnessChaos(kill_shard=5),
-            HarnessChaos(kill_shard=-1),
-            HarnessChaos(delay_shard=2, delay_s=0.1),
-        ],
-        ids=["kill-2", "kill-5", "kill-minus-1", "delay-2"],
-    )
-    def test_chaos_aimed_at_no_worker_is_refused(self, chaos):
-        """Chaos that names no worker would never fire — and a recovery
-        test built on it would pass without any crash happening."""
-        with pytest.raises(ConfigurationError, match="names no worker"):
-            run_sharded(_workload(), shards=2, chaos=chaos)
 
 
 # ----------------------------------------------------------------------
@@ -667,24 +685,39 @@ class TestCrashRerun:
     def test_kill_and_rerun_is_bit_identical(self, protocol, workers):
         """SIGKILL mid-run, respawn, rerun: same digest, same RNG.
 
-        The acceptance gate for crash recovery: with default
-        supervision, a run that loses a worker is indistinguishable —
-        digest, per-node RNG states, conservation report — from the run
-        that was never interrupted.
+        The acceptance gate for crash recovery: a run that loses a
+        worker is indistinguishable — digest, per-node RNG states,
+        conservation report — from the run that was never interrupted.
         """
         if protocol == "mlr":
             w = _mlr_workload(seed=9)
         else:
             w = _workload(protocol=protocol, seed=9)
         ref = run_sharded(w, shards=workers)
-        res = run_sharded(
-            w, shards=workers,
-            chaos=HarnessChaos(kill_shard=workers - 1, kill_window=7),
-        )
+        with _harness_fault(shard=workers - 1, window=7) as fired:
+            res = run_sharded(w, shards=workers)
+        assert fired.value == 1
         assert res.restarts == 1
         assert res.digest == ref.digest
         assert res.rng_states == ref.rng_states
         assert res.conservation.to_jsonable() == ref.conservation.to_jsonable()
+        assert _no_orphans()
+
+    def test_kill_and_rerun_at_ci_scale(self):
+        """The 3000-sensor flood the CI crash-recovery smoke runs: a
+        SIGKILL at window 9 reruns to the uninterrupted digest."""
+        w = make_xl_workload(
+            3000, 12, 8, density=1 / 900.0, comm_range=55.0, seed=0, audit=True
+        )
+        ref = run_sharded(w, shards=2)
+        with _harness_fault(shard=1, window=9) as fired:
+            res = run_sharded(w, shards=2)
+        assert fired.value == 1
+        assert res.restarts == 1
+        assert res.digest == ref.digest
+        assert ref.digest.startswith("e1a86d1e96306589")
+        assert res.rng_states == ref.rng_states
+        assert res.conservation.ok and ref.conservation.ok
         assert _no_orphans()
 
     @given(
@@ -715,11 +748,9 @@ class TestCrashRerun:
             protocol=protocol, **kw
         )
         ref = run_sharded(w, shards=workers)
-        res = run_sharded(
-            w, shards=workers,
-            chaos=HarnessChaos(kill_shard=workers - 1, kill_window=kill_window),
-        )
-        assert res.restarts == (1 if kill_window <= ref.windows else 0)
+        with _harness_fault(shard=workers - 1, window=kill_window) as fired:
+            res = run_sharded(w, shards=workers)
+        assert res.restarts == fired.value == (1 if kill_window <= ref.windows else 0)
         assert res.digest == ref.digest
         assert res.rng_states == ref.rng_states
         assert res.conservation.to_jsonable() == ref.conservation.to_jsonable()
