@@ -2,9 +2,9 @@
 """Regenerate every paper artifact (E1-E11, E14) in one run.
 
 A convenience driver over :mod:`repro.experiments`: prints each
-experiment's paper-style table in order. The benchmark suite
-(``pytest benchmarks/ --benchmark-only -s``) runs the same code with the
-shape assertions; this script is for reading the numbers.
+experiment's paper-style table in order. ``tests/test_claims.py`` checks
+the paper's claims on the same drivers; this script is for reading the
+numbers.
 
 Run:  python examples/reproduce_paper.py [--fast]
 

@@ -73,10 +73,6 @@ class SleepScheduler:
         """Sensors deployed in ``cell`` (dead ones included)."""
         return list(self._cells.get(cell, []))
 
-    @property
-    def num_cells(self) -> int:
-        return len(self._cells)
-
     # ------------------------------------------------------------------
     def apply_epoch(self) -> dict[tuple[int, int], int]:
         """Start a new epoch: elect coordinators, sleep everyone else.
@@ -118,9 +114,6 @@ class SleepScheduler:
         self.network.nodes[node_id].sleeping = False
 
     # ------------------------------------------------------------------
-    def awake_sensors(self) -> list[int]:
-        return [s for s in self.network.sensor_ids if self.network.nodes[s].alive]
-
     def sleeping_sensors(self) -> list[int]:
         return [s for s in self.network.sensor_ids if self.network.nodes[s].sleeping]
 

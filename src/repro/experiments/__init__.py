@@ -2,9 +2,12 @@
 
 Every module exposes a ``run_*`` function returning a result dataclass
 with a ``format_table()`` method printing the rows the paper reports (or
-the quantified version of a qualitative claim).  The ``benchmarks/``
-directory wraps these with pytest-benchmark; the ``examples/`` scripts
-call them directly.  See DESIGN.md for the experiment index.
+the quantified version of a qualitative claim).  E1-E11's result classes
+also declare the paper's claims about them: ``claims()`` maps each
+claim's text to whether the result bears it out, and
+``tests/test_claims.py`` checks them at each driver's default seed.
+The ``examples/`` scripts call the drivers directly.  See DESIGN.md for
+the experiment index.
 """
 
 from repro.experiments.common import (

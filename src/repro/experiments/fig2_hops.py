@@ -103,6 +103,15 @@ class Fig2Result:
                 return False
         return True
 
+    def claims(self) -> dict[str, bool]:
+        """The paper's claims about this result: claim text -> holds."""
+        return {
+            "hop counts and serving gateways equal Fig. 2(a)/(b)": self.matches_paper,
+            "total hops collapse 24 -> 5 (Section 4.1)": (
+                self.total_hops_single == 24 and self.total_hops_multi == 5
+            ),
+        }
+
     def format_table(self) -> str:
         rows = []
         for s in ("S1", "S2", "S3", "S4"):

@@ -65,6 +65,30 @@ class GatewayCountResult:
     def lifetime_series(self) -> list[float]:
         return [r.lifetime_rounds for r in self.rows]
 
+    def claims(self) -> dict[str, bool]:
+        """The paper's claims about this result: claim text -> holds."""
+        rows = sorted(self.rows, key=lambda r: r.k)
+        life = {r.k: r.lifetime_rounds for r in rows}
+        series = [r.lifetime_rounds for r in rows]
+        hops = [r.mean_hops_measured for r in rows]
+        return {
+            "more gateways never shorten lifetime, and k=2 outlives k=1": (
+                all(b >= a for a, b in zip(series, series[1:])) and life[2] > life[1]
+            ),
+            "hops shrink monotonically toward the 1-hop floor": (
+                all(b <= a for a, b in zip(hops, hops[1:])) and min(hops) >= 1.0
+            ),
+            # K_max is 8 at the default deployment (every sensor one hop
+            # from a gateway): [34]'s law says gateways beyond it buy
+            # (almost) nothing.
+            "lifetime saturates: life(12) - life(8) < 0.25 x (life(2) - life(1))": (
+                life[12] - life[8] < 0.25 * (life[2] - life[1])
+            ),
+            "the greedy placement model predicts simulated hops within 0.5": all(
+                abs(r.mean_hops_model - r.mean_hops_measured) < 0.5 for r in rows
+            ),
+        }
+
 
 def _candidate_grid(field_size: float, per_side: int = 4) -> np.ndarray:
     xs = np.linspace(field_size / (2 * per_side), field_size * (1 - 1 / (2 * per_side)), per_side)

@@ -54,6 +54,26 @@ class LifetimeComparison:
             return float(self.max_rounds)
         return lt / self.round_duration
 
+    def claims(self) -> dict[str, bool]:
+        """The paper's claims about this result: claim text -> holds."""
+        mlr = self.lifetime_rounds("MLR")
+        spr = self.lifetime_rounds("SPR")
+        flat = self.lifetime_rounds("flat-1-sink")
+        flood = self.lifetime_rounds("flooding")
+        return {
+            "multiple gateways (SPR) outlive the single sink": spr > flat,
+            "MLR lives at least 0.9x as long as static-gateway SPR": mlr >= spr * 0.9,
+            "flooding's implosion kills the network before flat-1-sink's": flood < flat,
+            # eq. (1)'s D^2 objective.
+            "MLR balances energy better than flat-1-sink": (
+                self.balance["MLR"] > self.balance["flat-1-sink"]
+            ),
+            "MLR, SPR and flat-1-sink deliver > 0.9 while alive": all(
+                self.results[name].delivery_ratio > 0.9
+                for name in ("MLR", "SPR", "flat-1-sink")
+            ),
+        }
+
     def format_table(self) -> str:
         rows = []
         for name, r in self.results.items():

@@ -50,6 +50,20 @@ class LpBoundResult:
             return 0.0
         return self.mlr_lifetime_rounds / self.lp_lifetime_rounds
 
+    def claims(self) -> dict[str, bool]:
+        """The paper's claims about this result: claim text -> holds."""
+        return {
+            "the LP yields a positive lifetime": self.lp_lifetime_rounds > 0,
+            # Fractional, splittable flows do at least as well as any schedule.
+            "the LP lifetime bounds MLR's (1% slack)": (
+                self.mlr_lifetime_rounds <= self.lp_lifetime_rounds * 1.01
+            ),
+            "MLR reaches > 5% of the bound": self.optimality_ratio > 0.05,
+            "MLR's energy per round is above the LP floor (1% slack)": (
+                self.mlr_total_energy_per_round >= self.lp_min_total_energy * 0.99
+            ),
+        }
+
     def format_table(self) -> str:
         rows = [
             ["lifetime (rounds)", round(self.lp_lifetime_rounds, 1),

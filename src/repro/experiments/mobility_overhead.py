@@ -61,6 +61,29 @@ class MobilityOverheadResult:
     def total_control_frames(self, name: str) -> int:
         return sum(self.per_round_control_frames[name])
 
+    def claims(self) -> dict[str, bool]:
+        """The paper's claims about this result: claim text -> holds."""
+        mlr = self.per_round_control_frames["MLR"]
+        reset = self.per_round_control_frames["MLR-reset"]
+        sec = self.per_round_control_frames["SecMLR"]
+        return {
+            "in the last two rounds accumulation costs < 1/5 of reset": (
+                sum(mlr[-2:]) * 5 < sum(reset[-2:])
+            ),
+            "MLR's last round costs < 1/5 of its first": mlr[-1] * 5 < mlr[0],
+            "the reset variant never collapses: last round > half its first": (
+                reset[-1] > reset[0] * 0.5
+            ),
+            # The premium is the μTESLA disclosure floods.
+            "SecMLR pays a bounded premium: MLR <= SecMLR < reset in total": (
+                sum(mlr) <= sum(sec) < sum(reset)
+            ),
+            "accumulation sends fewer control frames in total than reset": (
+                self.total_control_frames("MLR") < self.total_control_frames("MLR-reset")
+            ),
+            "every variant delivers > 0.9": all(d > 0.9 for d in self.delivery.values()),
+        }
+
     def format_table(self) -> str:
         names = list(self.per_round_control_frames)
         num_rounds = len(next(iter(self.per_round_control_frames.values())))

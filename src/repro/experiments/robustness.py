@@ -79,6 +79,27 @@ class RobustnessResult:
                 return r
         raise KeyError((scenario, protocol))
 
+    def claims(self) -> dict[str, bool]:
+        """The paper's claims about this result: claim text -> holds."""
+        flat_gw = self.row_for("gateway", "flat-1-sink")
+        multi_gw = self.row_for("gateway", "SPR-3-gw")
+        flat_s = self.row_for("sensors", "flat-1-sink")
+        multi_s = self.row_for("sensors", "SPR-3-gw")
+        return {
+            "the flat architecture dies with its sink: 0.9+ before, < 0.05 after": (
+                flat_gw.delivery_before > 0.9 and flat_gw.delivery_after < 0.05
+            ),
+            "three gateways survive losing one: 0.9+ before, > 0.7 after": (
+                multi_gw.delivery_before > 0.9 and multi_gw.delivery_after > 0.7
+            ),
+            # Self-healing via re-routing.
+            "under sensor die-off three gateways keep > 0.6 and retain no less "
+            "than the single sink - 0.1": (
+                multi_s.delivery_after > 0.6
+                and multi_s.retained >= flat_s.retained - 0.1
+            ),
+        }
+
     def format_table(self) -> str:
         return format_table(
             ["failure scenario", "protocol", "delivery before", "after",

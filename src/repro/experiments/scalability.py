@@ -96,13 +96,21 @@ class ScalabilityResult:
             title="E4 — scalability: single sink vs multiple gateways",
         )
 
-    @property
-    def single_sink_hops_series(self) -> list[float]:
-        return [r.single_hops for r in self.rows]
-
-    @property
-    def multi_gateway_hops_series(self) -> list[float]:
-        return [r.multi_hops for r in self.rows]
+    def claims(self) -> dict[str, bool]:
+        """The paper's claims about this result: claim text -> holds."""
+        rows = sorted(self.rows, key=lambda r: r.n_sensors)
+        single = [r.single_hops for r in rows]
+        smallest, largest = rows[0], rows[-1]
+        return {
+            "multi-gateway hops are below single-sink hops at every size": all(
+                r.multi_hops < r.single_hops for r in rows
+            ),
+            "single-sink hops grow with the field": single == sorted(single),
+            "the hop gap is wider at the largest size than at the smallest": (
+                largest.single_hops - largest.multi_hops
+                > smallest.single_hops - smallest.multi_hops
+            ),
+        }
 
 
 def _gateway_grid(field_size: float, m: int) -> list[list[float]]:

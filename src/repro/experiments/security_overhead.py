@@ -53,6 +53,21 @@ class SecurityOverheadResult:
             return 0.0
         return self.secmlr.mean_latency / self.mlr.mean_latency - 1.0
 
+    def claims(self) -> dict[str, bool]:
+        """The paper's claims about this result: claim text -> holds."""
+        return {
+            "security does not break routing: delivery > 0.95, hops within 0.5 of MLR": (
+                self.secmlr.delivery_ratio > 0.95
+                and abs(self.secmlr.mean_hops - self.mlr.mean_hops) < 0.5
+            ),
+            "the crypto is on the air: > 5% more bytes and higher latency": (
+                self.byte_overhead > 0.05 and self.latency_overhead > 0.0
+            ),
+            "the overhead is bounded: byte and energy overhead < 200%": (
+                self.byte_overhead < 2.0 and self.energy_overhead < 2.0
+            ),
+        }
+
     def format_table(self) -> str:
         rows = [self.mlr.row(), self.secmlr.row()]
         table = format_table(ScenarioResult.HEADERS, rows,

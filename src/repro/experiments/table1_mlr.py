@@ -75,10 +75,16 @@ class Table1Result:
 
     @property
     def matches_paper(self) -> bool:
-        for (want_panel, want_sel), panel, sel in zip(PAPER_TABLE1, self.panels, self.selections):
-            if panel != want_panel or sel != want_sel:
-                return False
-        return True
+        return list(zip(self.panels, self.selections)) == PAPER_TABLE1
+
+    def claims(self) -> dict[str, bool]:
+        """The paper's claims about this result: claim text -> holds."""
+        return {
+            "panels and selections equal Table 1(a)-(c)": self.matches_paper,
+            "the table only accumulates: 3, 4, 5 places": (
+                [len(p) for p in self.panels] == [3, 4, 5]
+            ),
+        }
 
     def format_table(self) -> str:
         blocks = []

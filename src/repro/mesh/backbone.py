@@ -205,6 +205,3 @@ class MeshBackbone:
     def fail_router(self, mesh_id: int) -> None:
         """Kill a mesh node (robustness experiments)."""
         self.network.nodes[mesh_id].fail()
-
-    def recover_router(self, mesh_id: int) -> None:
-        self.network.nodes[mesh_id].recover()

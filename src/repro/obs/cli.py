@@ -1,8 +1,12 @@
 """``python -m repro.obs`` — drop-accounting audit of a runner trace.
 
 Replays a sweep-runner JSONL trace (``SweepRunner(trace_path=...)``) and
-prints, per experiment, the conservation totals and a per-reason drop
-audit table.  Cells served from the result cache carry no observability
+prints, per experiment, the conservation totals and two per-reason drop
+tables: *terminal drops* counts datums by the reason they ended in a
+drop (from the audited ledger, so it sums to the ``dropped`` column),
+and *drop events* counts every drop the collectors saw, frame-level
+ones (lost broadcast copies, frames to dead nodes, retried collisions)
+included.  Cells served from the result cache carry no observability
 block (the cache stores results, not ledgers) and are reported as
 *unaudited* rather than silently folded in.
 """
@@ -51,6 +55,7 @@ def summarize_cells(cells: Iterable[dict]) -> dict[str, dict]:
                 "duplicates": 0,
                 "unknown_delivered": 0,
                 "violations": 0,
+                "terminal_drops": Counter(),
                 "drops": Counter(),
             },
         )
@@ -64,6 +69,7 @@ def summarize_cells(cells: Iterable[dict]) -> dict[str, dict]:
         for key in ("generated", "delivered", "dropped", "pending",
                     "duplicates", "unknown_delivered"):
             agg[key] += int(conservation.get(key, 0))
+        agg["terminal_drops"].update(conservation.get("drops_by_reason") or {})
         agg["violations"] += len(conservation.get("violations", ()))
     return per_exp
 
@@ -114,15 +120,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
     )
 
-    drop_rows = []
-    for exp, agg in sorted(per_exp.items()):
-        for reason, count in sorted(agg["drops"].items(), key=lambda kv: (-kv[1], kv[0])):
-            drop_rows.append([exp, reason, count])
-    if drop_rows:
-        print()
-        print(format_table(["experiment", "reason", "count"], drop_rows,
-                           title="terminal drops by reason"))
-    else:
+    printed = False
+    for key, title in (
+        ("terminal_drops", "terminal drops by reason"),
+        ("drops", "drop events by reason (frame-level and terminal)"),
+    ):
+        drop_rows = [
+            [exp, reason, count]
+            for exp, agg in sorted(per_exp.items())
+            for reason, count in sorted(agg[key].items(), key=lambda kv: (-kv[1], kv[0]))
+        ]
+        if drop_rows:
+            print()
+            print(format_table(["experiment", "reason", "count"], drop_rows, title=title))
+            printed = True
+    if not printed:
         print("\n(no drops recorded)")
 
     total_violations = sum(agg["violations"] for agg in per_exp.values())

@@ -171,9 +171,6 @@ class SweepResult:
         """The :class:`ExperimentResult` envelopes, in cell order."""
         return [c.result for c in self.cells]
 
-    def for_experiment(self, name: str) -> list:
-        return [c for c in self.cells if c.experiment == name]
-
     def _groups(self) -> list:
         """Cells grouped by (experiment, params), preserving order."""
         groups: dict[tuple, list] = {}

@@ -34,8 +34,3 @@ class NodeKind(enum.Enum):
     GATEWAY = "gateway"
     MESH_ROUTER = "mesh_router"
     BASE_STATION = "base_station"
-
-    @property
-    def is_sink(self) -> bool:
-        """Whether sensor-tier data terminates here."""
-        return self in (NodeKind.GATEWAY, NodeKind.BASE_STATION)

@@ -179,22 +179,28 @@ class WorldEventRecorder:
 
         ``None`` when no tracked collector carries a ledger (audit off) —
         the runner trace then omits the block rather than writing zeros.
+        ``drops_by_reason`` counts datums by the reason they ended in a
+        drop, so it sums to ``dropped``; :meth:`drops_by_reason` counts
+        drop events, frame-level ones included.
         """
         audited = [m for m in self._collectors if m.ledger is not None]
         if not audited:
             return None
         totals = Counter()
+        terminal_drops = Counter()
         violations: list[str] = []
         for m in audited:
             report = m.conservation_report(strict=True)
             for key in ("generated", "delivered", "dropped", "pending",
                         "duplicates", "unknown_delivered", "late_drops"):
                 totals[key] += getattr(report, key)
+            terminal_drops.update(report.drops_by_reason)
             violations.extend(report.violations)
         return {
             **{k: int(totals[k]) for k in (
                 "generated", "delivered", "dropped", "pending",
                 "duplicates", "unknown_delivered", "late_drops")},
+            "drops_by_reason": dict(sorted(terminal_drops.items())),
             "audited_collectors": len(audited),
             "violations": violations,
         }

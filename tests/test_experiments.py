@@ -1,8 +1,8 @@
 """Fast smoke + shape tests for every experiment driver (E1-E11).
 
-The benchmarks run the experiments at paper scale; these tests run them
-at reduced scale so the full suite stays quick, checking API contracts
-and the invariants that must hold at any scale.
+``test_claims.py`` checks the paper's claims at each driver's default
+seed; these tests run the drivers at reduced scale, checking API
+contracts and the invariants that must hold at any scale.
 """
 
 import pytest

@@ -326,8 +326,15 @@ class TestWorldAudit:
         assert summary["generated"] == summary["delivered"] + summary["dropped"] + summary["pending"]
 
 
+def _printed_table(out: str, title: str) -> list[list[str]]:
+    """Body rows of the table printed under ``title``, cells stripped."""
+    block = next(b for b in out.split("\n\n") if b.startswith(title))
+    # title, underline, header, rule, then one line per row
+    return [[cell.strip() for cell in line.split("|")] for line in block.splitlines()[4:]]
+
+
 class TestObsCli:
-    def _trace(self, tmp_path, monkeypatch, audited):
+    def _trace(self, tmp_path, monkeypatch, audited, spec=None):
         from repro.sim.trace import set_audit_default
 
         trace = tmp_path / "sweep.jsonl"
@@ -337,7 +344,9 @@ class TestObsCli:
         set_audit_default(audited)
         try:
             runner = SweepRunner(workers=1, trace_path=trace)
-            runner.run(ExperimentSpec("scalability", params={"sizes": [40], "rounds": 1}, seeds="0..1"))
+            runner.run(spec or ExperimentSpec(
+                "scalability", params={"sizes": [40], "rounds": 1}, seeds="0..1"
+            ))
         finally:
             set_audit_default(False)
         return trace
@@ -351,6 +360,23 @@ class TestObsCli:
         # Both cells audited, zero violations.
         lines = [l for l in out.splitlines() if l.startswith("scalability")]
         assert lines and lines[0].split("|")[2].strip() == "2"  # audited count
+
+    def test_terminal_drop_table_sums_to_dropped_column(self, tmp_path, monkeypatch, capsys):
+        # Robustness kills nodes mid-run, so frame-level drop events (copies
+        # sent to dead nodes) far outnumber the datums that ended dropped.
+        spec = ExperimentSpec(
+            "robustness", params={"n_sensors": 20, "field_size": 120.0}, seeds="0"
+        )
+        trace = self._trace(tmp_path, monkeypatch, audited=True, spec=spec)
+        assert obs_main([str(trace)]) == 0
+        out = capsys.readouterr().out
+        [conservation] = _printed_table(out, "packet conservation")
+        dropped = int(conservation[5])
+        assert dropped > 0
+        terminal = _printed_table(out, "terminal drops by reason")
+        assert sum(int(row[2]) for row in terminal) == dropped
+        events = _printed_table(out, "drop events by reason")
+        assert sum(int(row[2]) for row in events) > dropped
 
     def test_cli_reports_unaudited_cells(self, tmp_path, monkeypatch, capsys):
         trace = self._trace(tmp_path, monkeypatch, audited=False)

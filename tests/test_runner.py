@@ -142,6 +142,7 @@ class TestSweepDeterminism:
         parallel_blobs = [dumps(c.result) for c in parallel.cells]
         assert serial_blobs == parallel_blobs
         assert parallel.stats.simulated == 4
+        assert parallel.stats.events_processed > 0
 
     def test_progress_callback_sees_every_cell(self):
         seen = []

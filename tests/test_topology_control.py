@@ -14,8 +14,7 @@ from repro.sim.radio import IEEE802154, Channel
 from repro.sim.trace import MetricsCollector
 
 
-@pytest.fixture
-def dense_world():
+def _dense_world():
     """A dense field: 4 sensors per GAF cell, one gateway."""
     rng = np.random.default_rng(3)
     sensors = rng.uniform(0, 60, size=(120, 2))
@@ -23,6 +22,11 @@ def dense_world():
     sim = Simulator(seed=4)
     ch = Channel(sim, net, IEEE802154.ideal(), metrics=MetricsCollector())
     return sim, net, ch
+
+
+@pytest.fixture
+def dense_world():
+    return _dense_world()
 
 
 class TestCells:
@@ -135,3 +139,28 @@ class TestRoutingOverBackbone:
         sim.run()
         # sleeping nodes received nothing -> spent nothing
         assert all(net.nodes[s].energy.spent == 0.0 for s in sleepers)
+
+    def test_duty_cycling_cuts_network_energy(self):
+        """20 reports over the coordinator backbone vs the same from an
+        always-on field: every report arrives, for < 0.6x the energy."""
+
+        def run(duty_cycled: bool) -> tuple[float, float]:
+            sim, net, ch = _dense_world()
+            spr = SPR(sim, net, ch)
+            senders = net.sensor_ids
+            if duty_cycled:
+                sched = SleepScheduler(net)
+                sched.apply_epoch()
+                assert sched.coordinator_backbone_connected()
+                senders = sorted(sched.coordinators.values())
+            for i, s in enumerate(senders[:20]):
+                sim.schedule(0.1 + i * 0.01, spr.send_data, s)
+            sim.run()
+            spent = sum(net.nodes[s].energy.spent for s in net.sensor_ids)
+            return spent, ch.metrics.delivery_ratio
+
+        always_on, _ = run(duty_cycled=False)
+        duty, delivery = run(duty_cycled=True)
+        assert delivery == 1.0
+        # Sleepers receive nothing, so flood and overhearing energy collapse.
+        assert duty < 0.6 * always_on
