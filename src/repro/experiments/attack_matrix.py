@@ -45,7 +45,6 @@ from repro.security.attacks import (
 )
 from repro.sim.mobility import GatewaySchedule
 from repro.sim.serialize import serializable
-from repro.world import WorldConfig
 
 __all__ = ["AttackCell", "AttackMatrixResult", "run_attack_matrix", "ATTACK_NAMES"]
 
@@ -211,7 +210,7 @@ def _run_single(
     scenario = make_uniform_scenario(
         n_sensors, field_size, gw_positions,
         comm_range=comm_range, topology_seed=seed, protocol_seed=seed + 13,
-        world=WorldConfig(audit=True),
+        audit=True,
     )
     sim, net, ch = scenario.sim, scenario.network, scenario.channel
     schedule = GatewaySchedule.rotating(places, net.gateway_ids, num_rounds=rounds, seed=seed)

@@ -19,7 +19,7 @@ from repro.sim.energy import EnergyModel
 from repro.sim.mobility import FeasiblePlaces
 from repro.sim.radio import IEEE802154, RadioConfig
 from repro.sim.serialize import serializable
-from repro.world import World, WorldBuilder, WorldConfig
+from repro.world import World, WorldBuilder
 
 __all__ = [
     "Scenario",
@@ -116,19 +116,16 @@ def make_uniform_scenario(
     radio: Optional[RadioConfig] = None,
     energy_model: Optional[EnergyModel] = None,
     require_connected: bool = True,
-    world: "WorldConfig | dict | None" = None,
+    audit: Optional[bool] = None,
+    faults=None,
 ) -> Scenario:
     """Uniform random deployment with explicit gateway positions.
 
-    ``world`` carries the execution configuration — audit ledger and
-    fault plan — as one
-    :class:`~repro.world.WorldConfig` value (or its jsonable form, as it
-    arrives from swept :class:`~repro.runner.spec.ExperimentSpec`
-    params).  The pre-``WorldConfig`` bare ``spatial_index``/``audit``/
-    ``fault_plan`` kwargs were removed after a deprecation cycle —
-    passing them now raises ``TypeError``.
+    ``audit`` and ``faults`` go straight to :meth:`WorldBuilder.audit`
+    and :meth:`WorldBuilder.faults`: ``audit=None`` takes the
+    ``REPRO_AUDIT`` default, and ``faults`` is a
+    :class:`~repro.faults.plan.FaultPlan`, its jsonable form or ``None``.
     """
-    cfg = WorldConfig.from_param(world) or WorldConfig()
     builder = (
         WorldBuilder()
         .seed(protocol_seed)
@@ -138,7 +135,8 @@ def make_uniform_scenario(
         .sensor_battery(sensor_battery)
         .radio(radio or IEEE802154.ideal())
         .require_connected(require_connected)
-        .configure(cfg)
+        .audit(audit)
+        .faults(faults)
     )
     if energy_model is not None:
         builder.energy(energy_model)
@@ -155,14 +153,8 @@ def make_grid_scenario(
     protocol_seed: int = 2,
     radio: Optional[RadioConfig] = None,
     energy_model: Optional[EnergyModel] = None,
-    world: "WorldConfig | dict | None" = None,
 ) -> Scenario:
-    """Regular grid deployment (deterministic topologies for tests).
-
-    ``world`` is the consolidated execution configuration; the removed
-    bare ``spatial_index``/``audit`` kwargs now raise ``TypeError``.
-    """
-    cfg = WorldConfig.from_param(world) or WorldConfig()
+    """Regular grid deployment (deterministic topologies for tests)."""
     builder = (
         WorldBuilder()
         .seed(protocol_seed)
@@ -170,7 +162,6 @@ def make_grid_scenario(
         .gateways(gateway_positions)
         .sensor_battery(sensor_battery)
         .radio(radio or IEEE802154.ideal())
-        .configure(cfg)
     )
     if comm_range is not None:
         builder.comm_range(comm_range)

@@ -33,7 +33,6 @@ from repro.experiments.common import (
 )
 from repro.sim.mobility import GatewaySchedule
 from repro.sim.serialize import serializable
-from repro.world import WorldConfig
 
 __all__ = ["LifetimeComparison", "run_lifetime_comparison", "LIFETIME_PROTOCOLS"]
 
@@ -109,7 +108,6 @@ def run_lifetime_comparison(
     packets_per_round: int = 4,
     seed: int = 1,
     protocols: tuple[str, ...] = LIFETIME_PROTOCOLS,
-    world=None,
 ) -> LifetimeComparison:
     """Run every protocol on an identical deployment until first death.
 
@@ -119,7 +117,6 @@ def run_lifetime_comparison(
     large enough to reach steady state — with tiny budgets every protocol
     dies during its own setup phase and the comparison is meaningless.
     """
-    cfg = WorldConfig.from_param(world) or WorldConfig()
     places = corner_places(field_size)
     center = [[field_size / 2, field_size / 2]]
     multi_gw = [list(places.position(p)) for p in places.labels[:gateways]]
@@ -138,7 +135,6 @@ def run_lifetime_comparison(
             topology_seed=seed,
             protocol_seed=seed + 7,
             energy_model=energy_model,
-            world=cfg,
         )
         sim, net, ch = scenario.sim, scenario.network, scenario.channel
         if name == "MLR":

@@ -36,7 +36,6 @@ from repro.faults.plan import Crash, FaultPlan, GatewayChurn
 from repro.obs.ledger import DatumState
 from repro.sim.trace import MetricsCollector
 from repro.sim.serialize import serializable
-from repro.world import WorldConfig
 
 __all__ = ["RobustnessResult", "run_robustness"]
 
@@ -185,7 +184,7 @@ def _run_case(
     scenario = make_uniform_scenario(
         n_sensors, field_size, gw_positions,
         comm_range=comm_range, topology_seed=seed, protocol_seed=seed + 17,
-        world=WorldConfig(audit=True, faults=plan),
+        audit=True, faults=plan,
     )
     sim, net, ch = scenario.sim, scenario.network, scenario.channel
     protocol = (FlatSinkRouting if protocol_name == "flat-1-sink" else SPR)(sim, net, ch)
@@ -242,7 +241,7 @@ def _run_churn_case(
     scenario = make_uniform_scenario(
         n_sensors, field_size, gw_positions,
         comm_range=comm_range, topology_seed=seed, protocol_seed=seed + 17,
-        world=WorldConfig(audit=True, faults=plan),
+        audit=True, faults=plan,
     )
     sim, net, ch = scenario.sim, scenario.network, scenario.channel
     protocol = SPR(sim, net, ch)

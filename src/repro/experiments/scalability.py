@@ -45,7 +45,6 @@ from repro.shard import ShardWorkload, run_sharded
 from repro.sim.mobility import FeasiblePlaces, GatewaySchedule
 from repro.sim.network import uniform_deployment
 from repro.sim.serialize import serializable
-from repro.world import WorldConfig
 
 __all__ = [
     "ScalabilityResult",
@@ -136,14 +135,8 @@ def run_scalability(
     comm_range: float = 55.0,
     rounds: int = 2,
     seed: int = 1,
-    world=None,
 ) -> ScalabilityResult:
-    """Sweep network size at constant density.
-
-    ``world`` (a :class:`~repro.world.WorldConfig` or its jsonable form)
-    selects the execution configuration (audit ledger, fault plan).
-    """
-    cfg = WorldConfig.from_param(world) or WorldConfig()
+    """Sweep network size at constant density."""
     rows = []
     for n in sizes:
         field = float(np.sqrt(n / density))
@@ -159,7 +152,6 @@ def run_scalability(
                 comm_range=comm_range,
                 topology_seed=seed,
                 protocol_seed=seed + 1,
-                world=cfg,
             )
             protocol = cls(scenario.sim, scenario.network, scenario.channel)
             # Several packets per round amortise the one-time discovery
@@ -257,7 +249,7 @@ def make_xl_workload(
         gateway_positions=gateways,
         comm_range=comm_range,
         traffic=traffic,
-        world=WorldConfig(audit=audit),
+        audit=audit,
         protocol="flooding",
         protocol_params={"max_hops": ttl},
         seed=seed,
@@ -305,23 +297,19 @@ def run_scalability_xl(
     density: float = 1 / 900.0,
     comm_range: float = 55.0,
     seed: int = 0,
-    world=None,
 ) -> ScalabilityXLResult:
     """Sweep network size × worker count through the sharded executor.
 
     Every size is replayed at each worker count in ``shards``; the legs
     of one size must agree on the run digest (raises
     :class:`~repro.exceptions.SimulationError` otherwise) and, under
-    audit mode, each sharded leg passes the merged conservation audit.
-    ``world`` only contributes its audit flag here — sharded execution
-    constrains the rest of the configuration itself.
+    audit mode (``REPRO_AUDIT``), each sharded leg passes the merged
+    conservation audit.
     """
-    cfg = WorldConfig.from_param(world) or WorldConfig()
     rows = []
     for n in sizes:
         workload = make_xl_workload(
-            n, floods, ttl, density=density, comm_range=comm_range,
-            seed=seed, audit=cfg.audit,
+            n, floods, ttl, density=density, comm_range=comm_range, seed=seed,
         )
         rows.extend(_shard_legs(workload, n, shards))
     return ScalabilityXLResult(rows=rows)
@@ -386,7 +374,7 @@ def make_xl_mlr_workload(
         gateway_positions=np.asarray(spots, dtype=float),
         comm_range=comm_range,
         traffic=traffic,
-        world=WorldConfig(audit=audit),
+        audit=audit,
         protocol="mlr",
         protocol_params={
             "schedule": schedule,
@@ -405,7 +393,6 @@ def run_scalability_xl_mlr(
     density: float = 1 / 900.0,
     comm_range: float = 55.0,
     seed: int = 0,
-    world=None,
 ) -> ScalabilityXLResult:
     """E6c: the sharded sweep with MLR instead of flooding.
 
@@ -416,12 +403,10 @@ def run_scalability_xl_mlr(
     announcements, RERR repair and routing-table state survive shard
     boundaries bit-for-bit.
     """
-    cfg = WorldConfig.from_param(world) or WorldConfig()
     rows = []
     for n in sizes:
         workload = make_xl_mlr_workload(
-            n, datums, ttl, density=density, comm_range=comm_range,
-            seed=seed, audit=cfg.audit,
+            n, datums, ttl, density=density, comm_range=comm_range, seed=seed,
         )
         rows.extend(_shard_legs(workload, n, shards))
     return ScalabilityXLResult(

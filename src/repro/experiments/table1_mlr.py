@@ -25,7 +25,7 @@ from repro.analysis.tables import format_table
 from repro.core.mlr import MLR
 from repro.sim.mobility import FeasiblePlaces, GatewaySchedule
 from repro.sim.serialize import serializable
-from repro.world import WorldBuilder, WorldConfig
+from repro.world import WorldBuilder
 
 __all__ = ["Table1Result", "run_table1", "PAPER_TABLE1"]
 
@@ -108,16 +108,13 @@ class Table1Result:
 def run_table1(
     seed: int = 0,
     round_duration: float = 20.0,
-    world=None,
 ) -> Table1Result:
     """Drive MLR through the three rounds of Table 1 and snapshot Si.
 
     The gateway moves of rounds 2 and 3 exercise the incremental spatial
     index, which ``tests/test_spatial_index.py`` holds equal to a dense
-    rebuild; ``world`` (a :class:`~repro.world.WorldConfig` or its
-    jsonable form) selects the execution configuration.
+    rebuild.
     """
-    cfg = WorldConfig.from_param(world) or WorldConfig()
     sensors, places, si = build_table1_topology()
     # Three gateways; initial places A, B, C (they will be moved by MLR).
     gw_positions = np.asarray([places.position(p) for p in ("A", "B", "C")])
@@ -129,7 +126,6 @@ def run_table1(
         .comm_range(_COMM_RANGE)
         .ideal_radio()
         .places(places)
-        .configure(cfg)
         .build()
     )
     g0, g1, g2 = world.network.gateway_ids

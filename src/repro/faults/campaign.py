@@ -39,7 +39,6 @@ from repro.faults.plan import (
 from repro.obs.recovery import RecoveryReport
 from repro.sim.radio import GilbertElliott
 from repro.sim.serialize import serializable
-from repro.world import WorldConfig
 
 __all__ = ["ChaosResult", "random_plan", "run_chaos"]
 
@@ -154,6 +153,20 @@ class ChaosResult:
     availability: float = 1.0
     n_windows: int = 0
 
+    def claims(self) -> dict[str, bool]:
+        """The paper's claims about this result: claim text -> holds."""
+        return {
+            # §8: a reliable architecture loses no datum unaccounted for.
+            "every datum ends: none pending, generated == delivered + dropped": (
+                self.pending == 0
+                and self.generated == self.delivered + self.dropped
+            ),
+            # §7.1 self-healing: service resumes after every fault window.
+            "a datum is delivered after every fault window": (
+                self.recovery is not None and self.recovery.unrestored == 0
+            ),
+        }
+
     def format_table(self) -> str:
         rows = [
             ["generated", self.generated],
@@ -224,7 +237,8 @@ def run_chaos(
         sensor_battery=sensor_battery,
         topology_seed=seed,
         protocol_seed=seed + 17,
-        world=WorldConfig(audit=True, faults=plan),
+        audit=True,
+        faults=plan,
     )
     sim, net, ch = scenario.sim, scenario.network, scenario.channel
     protocol = SPR(sim, net, ch)

@@ -4,9 +4,12 @@ Runs one of the named campaigns through the sweep runner (so cells
 parallelize, cache and trace exactly like ``python -m repro.runner``)
 and prints a per-seed conservation + recovery table.  The chaos
 experiment always attaches the packet ledger with strict auditing, so a
-conservation violation fails the run loudly — which is the point: this
-is the repository's standing proof that randomized crash/recover/burst
-storms cannot make a datum vanish.
+conservation violation fails the run loudly, and the CLI exits 1 when
+any seed fails one of :meth:`~repro.faults.campaign.ChaosResult.claims`
+— a datum left pending, or a fault window with no delivery after it.
+This is the repository's standing proof that randomized
+crash/recover/burst storms cannot make a datum vanish or leave the
+network without service.
 
 Examples
 --------
@@ -163,8 +166,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
 
     rows = []
+    failures = []
     for env in sweep.results():
         r = env.result
+        failures += [
+            (env.seed, claim) for claim, holds in r.claims().items() if not holds
+        ]
         rows.append(
             [
                 env.seed,
@@ -179,16 +186,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 round(r.availability, 4),
             ]
         )
+    verdict = f"{len(failures)} failed claims" if failures else "all conserved and restored"
     print(
         format_table(
             ["seed", "events", "gen", "dlv", "drop", "pend",
              "delivery", "windows", "MTTR_s", "avail"],
             rows,
-            title=f"chaos campaign: {args.campaign} ({len(rows)} seeds, all conserved)",
+            title=f"chaos campaign: {args.campaign} ({len(rows)} seeds, {verdict})",
         )
     )
     if args.tables:
         for env in sweep.results():
             print()
             print(env.format_table())
-    return 0
+    for seed, claim in failures:
+        print(f"error: seed {seed}: claim fails: {claim}", file=sys.stderr)
+    return 1 if failures else 0

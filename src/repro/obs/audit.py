@@ -37,7 +37,6 @@ class ConservationReport:
     unknown_delivered: int
     late_drops: int
     drops_by_reason: dict[str, int] = field(default_factory=dict)
-    drops_by_node: dict[tuple, int] = field(default_factory=dict)
     violations: list[str] = field(default_factory=list)
     strict: bool = False
 
@@ -114,7 +113,6 @@ def audit_collector(metrics, strict: bool = False) -> ConservationReport:
         unknown_delivered=sum(ledger.unknown_delivered.values()),
         late_drops=sum(ledger.late_drops.values()),
         drops_by_reason=dict(ledger.drops_by_reason()),
-        drops_by_node=dict(ledger.drops_by_node()),
         strict=strict,
     )
 

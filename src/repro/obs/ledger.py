@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.sim.packet import Packet, PacketKind
@@ -273,27 +273,6 @@ class PacketLedger:
                 out[e.reason or "unknown"] += 1
         return out
 
-    def drops_by_node(self) -> Counter:
-        """Terminal drops, keyed by ``(node, reason)`` (node may be None)."""
-        out: Counter = Counter()
-        for e in self.entries.values():
-            if e.state is DatumState.DROPPED:
-                out[(e.node, e.reason or "unknown")] += 1
-        return out
-
     @property
     def duplicate_deliveries(self) -> int:
         return sum(e.duplicates for e in self.entries.values())
-
-    def counts(self) -> dict:
-        """JSON-able summary of the ledger (runner trace / CLI food)."""
-        return {
-            "generated": self.generated,
-            "delivered": self.delivered,
-            "dropped": self.dropped,
-            "pending": self.pending,
-            "duplicates": self.duplicate_deliveries,
-            "unknown_delivered": sum(self.unknown_delivered.values()),
-            "late_drops": sum(self.late_drops.values()),
-            "drops_by_reason": dict(sorted(self.drops_by_reason().items())),
-        }

@@ -41,7 +41,7 @@ def cache_key(
 
     Hashes the canonical JSON of the four identity components; dict key
     order and tuple-vs-list container choices do not affect the key.
-    Dataclass parameter values (a ``WorldConfig``, a ``FaultPlan``) are
+    Dataclass parameter values (a ``FaultPlan``) are
     hashed through their tagged :func:`~repro.sim.serialize.to_jsonable`
     form, so the instance and its jsonable round-trip produce the same
     key; tuple/list params keep their historical byte-identical encoding.

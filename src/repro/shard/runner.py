@@ -38,12 +38,12 @@ the seed alone and therefore identical on every worker.  Route state
 lives in the owner's routing tables and travels only in protocol
 frames.
 
-Sharded runs are mains-powered: a workload has no battery setting,
-multi-shard runs refuse fault plans, and no shard-safe protocol puts
-nodes to sleep, so no node's liveness ever changes and frames are the
-only state that crosses a barrier.  Ownership is fixed at round 0 and never follows a moving
-gateway — receptions are routed by the receiver's owner wherever the
-sender sits.  One caveat remains, measure-zero for uniform random
+Sharded runs are mains-powered: a workload has no battery setting and
+no fault plan, and no shard-safe protocol puts nodes to sleep, so no
+node's liveness ever changes and frames are the only state that
+crosses a barrier.  Ownership is fixed at round 0 and never follows a
+moving gateway — receptions are routed by the receiver's owner
+wherever the sender sits.  One caveat remains, measure-zero for uniform random
 deployments: events that tie to the exact same float timestamp execute
 in sequence order, and sequence numbers are per-worker, so cross-shard
 same-timestamp ties may order differently than the single-process run.
@@ -84,7 +84,7 @@ from repro.shard.plan import ShardPlan, conservative_lookahead
 from repro.sim.mobility import GatewaySchedule
 from repro.sim.radio import IEEE802154, RadioConfig
 from repro.sim.trace import MetricsCollector, audit_default
-from repro.world import WorldBuilder, WorldConfig
+from repro.world import WorldBuilder
 
 __all__ = ["ShardRunResult", "ShardWorkload", "run_digest", "run_sharded"]
 
@@ -129,22 +129,23 @@ class ShardWorkload:
     moves are replicated world state, the NOTIFY flood airs once on the
     moving gateway's owner.  Empty means one round at t=0.
 
-    Sensors are mains-powered: the workload has no battery setting, so
-    no node dies and liveness never has to cross a barrier.
+    Sensors are mains-powered: the workload has no battery setting and
+    no fault plan, so no node dies and liveness never has to cross a
+    barrier.  ``audit`` is ``True``/``False`` to force the conservation
+    ledger on or off, ``None`` to take the ``REPRO_AUDIT`` default.
 
     Construction validates everything that holds at any shard count —
     a shard-safe protocol, MLR's schedule and round times — so such a
     mistake fails where the workload is written.  :func:`run_sharded`
     repeats the check against its shard count and adds the multi-shard
-    rules (no fault plan, an unobserved medium) before any worker
-    starts.
+    rule (an unobserved medium) before any worker starts.
     """
 
     sensor_positions: np.ndarray
     gateway_positions: np.ndarray
     comm_range: float
     traffic: tuple
-    world: WorldConfig = field(default_factory=WorldConfig)
+    audit: Optional[bool] = None
     radio: RadioConfig = field(default_factory=IEEE802154.ideal)
     protocol: str = "flooding"
     protocol_params: dict = field(default_factory=dict)
@@ -239,10 +240,6 @@ def run_digest(metrics: MetricsCollector, node_counts: tuple) -> str:
 # ----------------------------------------------------------------------
 # validation and world construction
 # ----------------------------------------------------------------------
-def _want_audit(cfg: WorldConfig) -> bool:
-    return cfg.audit if cfg.audit is not None else audit_default()
-
-
 def _validate(workload: ShardWorkload, shards: int) -> None:
     """Reject unsupported workload/shard compositions, loudly and early.
 
@@ -281,15 +278,8 @@ def _validate(workload: ShardWorkload, shards: int) -> None:
         raise ConfigurationError(
             f"rounds only apply to mlr, not {workload.protocol!r}"
         )
-    if shards == 1:
-        return
-    if workload.world.faults is not None:
-        raise ConfigurationError(
-            "sharded execution cannot arm a fault plan: the injector would "
-            "fire on every shard's replicated copy of a node"
-        )
     radio = workload.radio
-    if radio.csma or radio.collisions:
+    if shards > 1 and (radio.csma or radio.collisions):
         raise ConfigurationError(
             "sharded execution requires csma=False and collisions=False (the "
             "medium is global state); loss, burst, ARQ and backoff shard "
@@ -319,10 +309,7 @@ def _build_worker_world(workload: ShardWorkload, defer_audit: bool):
     quiescence mid-window says nothing about cross-shard in-flight data,
     so only the merged ledger is audited (once, at the coordinator).
     """
-    cfg = workload.world
-    want_audit = _want_audit(cfg)
-    if defer_audit:
-        cfg = cfg.replace(audit=False)
+    audit = workload.audit if workload.audit is not None else audit_default()
     world = (
         WorldBuilder()
         .seed(workload.seed)
@@ -330,10 +317,10 @@ def _build_worker_world(workload: ShardWorkload, defer_audit: bool):
         .gateways(np.asarray(workload.gateway_positions, dtype=float))
         .comm_range(workload.comm_range)
         .radio(workload.radio)
-        .configure(cfg)
+        .audit(audit and not defer_audit)
         .build()
     )
-    if defer_audit and want_audit:
+    if defer_audit and audit:
         world.metrics.enable_audit()
     proto = world.attach(_SHARD_SAFE_PROTOCOLS[workload.protocol], **workload.protocol_params)
     return world, proto

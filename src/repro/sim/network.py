@@ -15,18 +15,18 @@ Gateways may move between rounds (Section 5.1: sensors static, gateways
 discretely mobile).  A :class:`~repro.sim.spatial.CellGrid` with
 ``comm_range``-sized cells maintains the neighbor relation under such
 moves.  ``move_node`` is *incremental*: only the moved node's row and the
-affected reverse rows are touched, the cached ``networkx`` graph is
-edge-patched in place, and a topology epoch is bumped — O(k) per move
-instead of an O(n²) rebuild.  ``hops_to`` runs multi-source BFS over a
-cached CSR adjacency (:mod:`scipy.sparse.csgraph`), revalidated by
-(epoch, alive-version) instead of rebuilt per query.  The dense-matrix
+affected reverse rows are touched, and a topology epoch is bumped — O(k)
+per move instead of an O(n²) rebuild.  ``hops_to`` runs multi-source BFS
+over a cached CSR adjacency (:mod:`scipy.sparse.csgraph`), revalidated
+by (epoch, alive-version) instead of rebuilt per query.  The dense-matrix
 and networkx reference these are tested against lives in
 ``tests/oracle.py``.
 
 Node liveness (battery death, injected failures, sleep scheduling) is the
 store's maintained ``alive`` column; per-node listeners bump the alive
-version and patch the cached graphs on every flip — no per-query Python
-scan over ``self.nodes``.
+version and drop the liveness-derived caches on every flip — no
+per-query Python scan over ``self.nodes``.  ``graph()`` builds a fresh
+``networkx`` view on every call; nothing hot queries it.
 """
 
 from __future__ import annotations
@@ -95,9 +95,6 @@ class Network:
 
         self._neighbor_cache: Optional[list[np.ndarray]] = None
         self._grid: Optional[CellGrid] = None
-        # graph() cache: alive_only -> (alive version at build, graph),
-        # patched in place on moves/deaths.
-        self._graph_cache: dict[bool, tuple[int, nx.Graph]] = {}
         # hops_to() cache: alive_only -> (edge epoch, alive version, CSR).
         self._csr_cache: dict[bool, tuple[int, int, csr_matrix]] = {}
         # alive_neighbors() cache: node -> filtered ndarray, stamped by
@@ -111,7 +108,7 @@ class Network:
         self._alive_version = 0
         # The store notifies the network on every alive-flag transition
         # (battery death, fail/recover, sleep/wake), so liveness-derived
-        # caches are patched or dropped exactly when they go stale.
+        # caches are dropped exactly when they go stale.
         for i in range(len(self.nodes)):
             self.store.bind_alive_listener(i, self._on_alive_change)
 
@@ -211,7 +208,6 @@ class Network:
         """
         self._neighbor_cache = None
         self._grid = None
-        self._graph_cache.clear()
         self._csr_cache.clear()
         self._alive_nbr_cache.clear()
         self._edge_epoch += 1
@@ -223,9 +219,8 @@ class Network:
         """Relocate a node (gateway mobility).
 
         Incremental: only node ``node_id``'s neighbor row and the affected
-        reverse rows (old minus new, new minus old) are updated, cached
-        graphs are edge-patched around the node, and the epoch is bumped
-        only when the edge set actually changed.
+        reverse rows (old minus new, new minus old) are updated, and the
+        epoch is bumped only when the edge set actually changed.
         """
         if not 0 <= node_id < len(self.nodes):
             raise TopologyError(f"no such node: {node_id}")
@@ -254,23 +249,6 @@ class Network:
         self._edge_epoch += 1
         self._csr_cache.clear()
         self._alive_nbr_cache.clear()
-        self._patch_graphs_after_move(node_id, removed, added)
-
-    def _patch_graphs_after_move(
-        self, node_id: int, removed: np.ndarray, added: np.ndarray
-    ) -> None:
-        """Edge-patch cached nx graphs in place around a moved node."""
-        for alive_only, (_, g) in self._graph_cache.items():
-            if node_id not in g:
-                continue  # dead/sleeping node in the alive view: no edges
-            for j in removed:
-                jj = int(j)
-                if g.has_edge(node_id, jj):
-                    g.remove_edge(node_id, jj)
-            for j in added:
-                jj = int(j)
-                if jj in g:
-                    g.add_edge(node_id, jj, weight=1.0)
 
     # ------------------------------------------------------------------
     # liveness maintenance (store listener target, fired once per flip)
@@ -279,38 +257,18 @@ class Network:
         self._alive_version += 1
         self._csr_cache.pop(True, None)
         self._alive_nbr_cache.clear()
-        cached = self._graph_cache.get(True)
-        if cached is None:
-            return
-        _, g = cached
-        if alive:
-            g.add_node(node_id, kind=self.nodes[node_id].kind)
-            alive_mask = self.store.alive
-            for j in self.neighbors(node_id):
-                jj = int(j)
-                if alive_mask[jj]:
-                    g.add_edge(node_id, jj, weight=1.0)
-        elif node_id in g:
-            g.remove_node(node_id)
-        self._graph_cache[True] = (self._alive_version, g)
 
     # ------------------------------------------------------------------
     # graph views
     # ------------------------------------------------------------------
     def graph(self, alive_only: bool = True) -> nx.Graph:
-        """The one-hop link graph as a :class:`networkx.Graph`.
+        """The one-hop link graph as a fresh :class:`networkx.Graph`.
 
-        The graph is cached and *patched* in place as nodes move, die or
-        recover, so repeated queries (the mesh backbone recomputes routes
-        on every forwarding decision; E9 recomputes reachability per
-        failure step) almost never rebuild.
-        Treat the returned graph as read-only.
+        Built on every call.  The callers are the mesh backbone, which
+        routes over a mesh tier of a few nodes, and E8's chokepoint
+        search, once per freshly built field; hop counts on large
+        networks go through :meth:`hops_to` instead.
         """
-        cached = self._graph_cache.get(alive_only)
-        if cached is not None:
-            version, g = cached
-            if not alive_only or version == self._alive_version:
-                return g
         g = nx.Graph()
         alive = self.store.alive
         for node in self.nodes:
@@ -322,7 +280,6 @@ class Network:
                 j = int(j)
                 if j > i and j in g.nodes:
                     g.add_edge(i, j, weight=1.0)
-        self._graph_cache[alive_only] = (self._alive_version if alive_only else -1, g)
         return g
 
     # ------------------------------------------------------------------

@@ -57,7 +57,6 @@ class PacketKind(enum.Enum):
     DATA = "data"
     NOTIFY = "notify"
     HELLO = "hello"
-    ACK = "ack"
     RERR = "rerr"
 
 

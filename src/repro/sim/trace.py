@@ -36,22 +36,16 @@ from repro.sim.packet import Packet, PacketKind
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs -> packet only)
     from repro.obs.ledger import PacketLedger
 
-__all__ = ["DeliveryRecord", "MetricsCollector", "audit_default", "set_audit_default"]
-
-
-_FORCE_AUDIT = False
-
-
-def set_audit_default(enabled: bool) -> None:
-    """Force audit mode on/off for collectors built after this call
-    (used by the test suite's ``REPRO_AUDIT=1`` job)."""
-    global _FORCE_AUDIT
-    _FORCE_AUDIT = bool(enabled)
+__all__ = ["DeliveryRecord", "MetricsCollector", "audit_default"]
 
 
 def audit_default() -> bool:
-    """Whether new collectors audit by default (``REPRO_AUDIT`` env)."""
-    return _FORCE_AUDIT or os.environ.get("REPRO_AUDIT", "") not in ("", "0")
+    """Whether new collectors audit by default (``REPRO_AUDIT`` env).
+
+    Read on every call, so the setting reaches every process that
+    inherits the environment, however it was started.
+    """
+    return os.environ.get("REPRO_AUDIT", "") not in ("", "0")
 
 
 @dataclass(frozen=True)

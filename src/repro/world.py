@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace as dc_replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -48,93 +48,14 @@ from repro.sim.network import (
 )
 from repro.sim.node import NodeKind
 from repro.sim.radio import IEEE802154, Channel, RadioConfig
-from repro.sim.serialize import from_jsonable, serializable
 from repro.sim.trace import MetricsCollector
 
 __all__ = [
     "World",
     "WorldBuilder",
-    "WorldConfig",
     "WorldEventRecorder",
     "record_world_events",
 ]
-
-
-# ----------------------------------------------------------------------
-# execution configuration
-# ----------------------------------------------------------------------
-@serializable
-@dataclass(frozen=True)
-class WorldConfig:
-    """Execution configuration of a world, as one serializable value.
-
-    Every world runs one physics: node state in a
-    :class:`~repro.sim.state.NodeStateStore`, the cell-grid spatial index,
-    and the channel's fan-out (see :class:`~repro.sim.radio.Channel`).
-    These fields add auditing and fault injection on top.  Experiments
-    thread a single ``world`` value into their
-    :class:`~repro.runner.spec.ExperimentSpec` params, so both fields
-    reach the cache key.  How many processes run a world is not part of
-    it: :func:`repro.shard.run_sharded` takes the shard count as an
-    argument.  Unknown field names fail in
-    :meth:`from_param` and in the constructor alike, and experiment entry
-    points reject bare ``audit`` or ``spatial_index`` keyword arguments
-    with ``TypeError``.
-
-    Attributes
-    ----------
-    audit:
-        ``True`` forces the packet-conservation ledger on, ``False``
-        forces it off, ``None`` defers to the ``REPRO_AUDIT`` default.
-    faults:
-        Optional :class:`~repro.faults.plan.FaultPlan` (or its jsonable
-        form) armed on the built world.
-    """
-
-    audit: Optional[bool] = None
-    faults: Optional[Any] = None
-
-    def __post_init__(self) -> None:
-        if self.faults is not None:
-            from repro.faults.plan import FaultPlan  # deferred: faults builds worlds
-
-            if not isinstance(self.faults, FaultPlan):
-                object.__setattr__(self, "faults", FaultPlan.from_param(self.faults))
-
-    def replace(self, **changes) -> "WorldConfig":
-        """A copy with ``changes`` applied (fluent-builder backend)."""
-        return dc_replace(self, **changes)
-
-    @classmethod
-    def from_param(cls, value: "WorldConfig | dict | None") -> Optional["WorldConfig"]:
-        """Coerce an experiment parameter into a :class:`WorldConfig`.
-
-        Accepts a config instance (returned as-is), its tagged jsonable
-        form as produced by :func:`~repro.sim.serialize.to_jsonable`
-        (the shape a config takes after a trip through the runner's
-        JSONL cache), or ``None``.  Anything else — in particular a
-        hand-rolled bare dict — is rejected, and so is a tagged form
-        naming a field the config does not have, so a typo'd (or
-        removed) field name fails loudly instead of silently running
-        the default config.
-        """
-        if value is None or isinstance(value, cls):
-            return value
-        if isinstance(value, dict) and value.get("__dataclass__") == cls.__name__:
-            known = {f.name for f in fields(cls)}
-            unknown = sorted(set(value.get("fields", {})) - known)
-            if unknown:
-                raise ConfigurationError(
-                    f"unknown WorldConfig field(s) {unknown}; "
-                    f"known fields are {sorted(known)}"
-                )
-            cfg = from_jsonable(value)
-            if isinstance(cfg, cls):
-                return cfg
-        raise ConfigurationError(
-            f"cannot interpret {value!r} as a WorldConfig; pass a WorldConfig "
-            "instance, its to_jsonable() form, or None"
-        )
 
 
 # ----------------------------------------------------------------------
@@ -239,8 +160,6 @@ class World:
     protocol: Any = None
     #: armed :class:`~repro.faults.injector.FaultInjector` (None without a plan)
     faults: Any = None
-    #: the :class:`WorldConfig` this world was built with (None for hand wiring)
-    config: Optional[WorldConfig] = None
     extras: dict = field(default_factory=dict)
 
     @property
@@ -317,7 +236,8 @@ class WorldBuilder:
         self._places: Optional[FeasiblePlaces] = None
         self._require_connected: bool = False
         self._node_spec: Optional[tuple[np.ndarray, Sequence[NodeKind], Optional[float]]] = None
-        self._config = WorldConfig()
+        self._audit: Optional[bool] = None
+        self._faults = None
 
     # -- engine ---------------------------------------------------------
     def seed(self, protocol_seed: int | None) -> "WorldBuilder":
@@ -409,40 +329,18 @@ class WorldBuilder:
         self._metrics = collector
         return self
 
-    # -- execution configuration ---------------------------------------
-    # One WorldConfig value; audit()/faults() are thin wrappers over it,
-    # and configure() swaps the whole value at once (experiments thread
-    # exactly that value into their ExperimentSpec params / cache keys).
-    @property
-    def config(self) -> WorldConfig:
-        """The execution configuration this builder will apply."""
-        return self._config
-
-    def configure(self, config: WorldConfig) -> "WorldBuilder":
-        """Replace the whole execution configuration in one call."""
-        if not isinstance(config, WorldConfig):
-            raise ConfigurationError(
-                f"configure() expects a WorldConfig, got {type(config).__name__}"
-            )
-        self._config = config
-        return self
-
-    def audit(self, enabled: bool = True) -> "WorldBuilder":
+    # -- execution options ---------------------------------------------
+    def audit(self, enabled: Optional[bool] = True) -> "WorldBuilder":
         """Enforce packet conservation on this world.
 
         Attaches a :class:`repro.obs.ledger.PacketLedger` to the metrics
         collector and registers a simulator idle hook that runs a strict
         conservation audit at every quiescence — any datum left without a
         terminal state raises :class:`~repro.exceptions.ConservationError`.
-        ``audit(False)`` opts a world out even under ``REPRO_AUDIT=1``.
+        ``audit(False)`` opts a world out even under ``REPRO_AUDIT=1``;
+        ``audit(None)`` takes that environment default, as if never called.
         """
-        self._config = self._config.replace(audit=enabled)
-        return self
-
-    # -- extras ---------------------------------------------------------
-    def places(self, places: FeasiblePlaces) -> "WorldBuilder":
-        """Feasible gateway places carried on the world (MLR rounds)."""
-        self._places = places
+        self._audit = enabled
         return self
 
     def faults(self, plan) -> "WorldBuilder":
@@ -454,8 +352,17 @@ class WorldBuilder:
         is scheduled, so fault timing is part of the deterministic event
         order; the armed injector is exposed as ``World.faults``.
         """
-        # WorldConfig.__post_init__ normalizes jsonable/params forms.
-        self._config = self._config.replace(faults=plan)
+        if plan is not None:
+            from repro.faults.plan import FaultPlan  # deferred: faults builds worlds
+
+            plan = FaultPlan.from_param(plan)
+        self._faults = plan
+        return self
+
+    # -- extras ---------------------------------------------------------
+    def places(self, places: FeasiblePlaces) -> "WorldBuilder":
+        """Feasible gateway places carried on the world (MLR rounds)."""
+        self._places = places
         return self
 
     # -- build ----------------------------------------------------------
@@ -501,12 +408,11 @@ class WorldBuilder:
                 f"deployment of {len(network)} nodes leaves sensors unreachable; "
                 "densify, enlarge the range or move gateways"
             )
-        cfg = self._config
         sim = self._sim if self._sim is not None else Simulator(seed=self._seed)
         metrics = self._metrics or MetricsCollector()
-        if cfg.audit is True:
+        if self._audit is True:
             metrics.enable_audit()
-        elif cfg.audit is False:
+        elif self._audit is False:
             metrics.audit = False
         if metrics.audit and metrics.ledger is not None:
             # Strict conservation at every quiescence: with an empty heap
@@ -516,12 +422,9 @@ class WorldBuilder:
         channel = Channel(sim, network, self._radio or IEEE802154, self._energy_model, metrics)
         for recorder in _recorders:
             recorder.track(sim, metrics)
-        world = World(
-            sim=sim, network=network, channel=channel,
-            places=self._places, config=cfg,
-        )
-        if cfg.faults is not None:
+        world = World(sim=sim, network=network, channel=channel, places=self._places)
+        if self._faults is not None:
             from repro.faults.injector import FaultInjector  # deferred: cycle guard
 
-            world.faults = FaultInjector(world, cfg.faults).arm()
+            world.faults = FaultInjector(world, self._faults).arm()
         return world

@@ -1,7 +1,5 @@
 """Shared fixtures: small deterministic topologies used across the suite."""
 
-import os
-
 import numpy as np
 import pytest
 
@@ -17,17 +15,6 @@ def pytest_addoption(parser):
         default=False,
         help="rewrite the tests/golden/ pins from the current tree",
     )
-
-
-def pytest_configure(config):
-    # CI's conservation-audit job runs the whole suite with REPRO_AUDIT=1:
-    # force audit mode explicitly so every MetricsCollector the tests
-    # build — even via cached env-independent paths — carries the packet
-    # ledger and asserts conservation at quiescence.
-    if os.environ.get("REPRO_AUDIT", "") not in ("", "0"):
-        from repro.sim.trace import set_audit_default
-
-        set_audit_default(True)
 
 
 @pytest.fixture

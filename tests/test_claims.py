@@ -1,4 +1,4 @@
-"""The paper's claims about E1-E11, checked at one configuration each.
+"""The paper's claims about E1-E11 and E14, checked at one configuration each.
 
 Each experiment's result class declares the paper's claims next to its
 driver: ``claims()`` maps a claim's text to whether the result bears it
@@ -35,6 +35,7 @@ CASES = {
     "robustness": ({}, 5),
     "mobility_overhead": ({}, 6),
     "lp_bound": ({}, 7),
+    "chaos": ({}, 0),
 }
 
 
@@ -92,3 +93,10 @@ def test_lifetime_claim_fails_when_mlr_dies_early(results):
     )
     moved = dataclasses.replace(life, results={**life.results, "MLR": mlr})
     assert failing(moved) == ["MLR lives at least 0.9x as long as static-gateway SPR"]
+
+
+def test_chaos_conservation_claim_fails_on_a_pending_datum(results):
+    moved = dataclasses.replace(results["chaos"], pending=1)
+    assert failing(moved) == [
+        "every datum ends: none pending, generated == delivered + dropped"
+    ]

@@ -19,6 +19,7 @@ from hypothesis import assume, given, settings, strategies as st
 from repro.core.routing_table import RouteEntry
 from repro.core.spr import SPR
 from repro.exceptions import ConfigurationError, TopologyError
+from repro.experiments.registry import REGISTRY
 from repro.faults import (
     BatteryDrain,
     Crash,
@@ -463,6 +464,19 @@ class TestChaos:
                             "--workers", "1", "-q"]) == 0
         out = capsys.readouterr().out
         assert "all conserved" in out and "MTTR_s" in out
+
+    def test_cli_fails_when_service_is_not_restored(self, monkeypatch, capsys):
+        def unrestored(**kwargs):
+            result = run_chaos(**kwargs)
+            recovery = dataclasses.replace(result.recovery, unrestored=1)
+            return dataclasses.replace(result, recovery=recovery)
+
+        adapter = dataclasses.replace(REGISTRY["chaos"], fn=unrestored)
+        monkeypatch.setitem(REGISTRY, "chaos", adapter)
+        assert faults_main(["--seeds", "0", "--workers", "1", "-q"]) == 1
+        captured = capsys.readouterr()
+        assert "1 failed claims" in captured.out
+        assert "seed 0: claim fails: a datum is delivered after every fault window" in captured.err
 
     def test_campaign_plans_are_jsonable(self):
         for name, params in CAMPAIGNS.items():

@@ -289,41 +289,46 @@ class TestWorldAudit:
         report = world.conservation_report()
         assert report.ok and report.delivered == 1
 
-    def test_builder_audit_false_overrides_env_default(self):
-        from repro.sim.trace import set_audit_default
+    def test_builder_audit_false_overrides_env_default(self, monkeypatch):
+        monkeypatch.setenv("REPRO_AUDIT", "1")
+        world = (
+            WorldBuilder()
+            .seed(1)
+            .sensors(np.array([[0.0, 0.0]]))
+            .gateways([[10.0, 0.0]])
+            .comm_range(12.0)
+            .ideal_radio()
+            .audit(False)
+            .build()
+        )
+        assert not world.metrics.audit
 
-        set_audit_default(True)
-        try:
-            world = (
-                WorldBuilder()
-                .seed(1)
-                .sensors(np.array([[0.0, 0.0]]))
-                .gateways([[10.0, 0.0]])
-                .comm_range(12.0)
-                .ideal_radio()
-                .audit(False)
-                .build()
-            )
-            assert not world.metrics.audit
-        finally:
-            set_audit_default(False)
-
-    def test_registry_experiment_conserves_under_audit(self):
-        from repro.sim.trace import set_audit_default
+    def test_registry_experiment_conserves_under_audit(self, monkeypatch):
+        from repro.experiments.registry import run_experiment
         from repro.world import record_world_events
 
-        set_audit_default(True)
-        try:
-            with record_world_events() as recorder:
-                from repro.experiments.registry import run_experiment
-
-                run_experiment("fig2", seed=0)
-            summary = recorder.conservation_summary()
-        finally:
-            set_audit_default(False)
+        monkeypatch.setenv("REPRO_AUDIT", "1")
+        with record_world_events() as recorder:
+            run_experiment("fig2", seed=0)
+        summary = recorder.conservation_summary()
         assert summary is not None
         assert summary["violations"] == []
         assert summary["generated"] == summary["delivered"] + summary["dropped"] + summary["pending"]
+
+    @pytest.mark.parametrize("audited", [True, False])
+    def test_env_default_reaches_pool_workers(self, monkeypatch, audited):
+        # REPRO_AUDIT is the only process-wide audit default: sweep pool
+        # workers see it through the environment they inherit.
+        monkeypatch.setenv("REPRO_AUDIT", "1" if audited else "0")
+        sweep = SweepRunner(workers=2).run(ExperimentSpec(
+            "scalability", params={"sizes": [40], "rounds": 1}, seeds="0..1"
+        ))
+        blocks = [cell.conservation for cell in sweep.cells]
+        assert len(blocks) == 2
+        if audited:
+            assert all(b is not None and b["violations"] == [] for b in blocks)
+        else:
+            assert blocks == [None, None]
 
 
 def _printed_table(out: str, title: str) -> list[list[str]]:
@@ -335,20 +340,14 @@ def _printed_table(out: str, title: str) -> list[list[str]]:
 
 class TestObsCli:
     def _trace(self, tmp_path, monkeypatch, audited, spec=None):
-        from repro.sim.trace import set_audit_default
-
         trace = tmp_path / "sweep.jsonl"
-        # Pin both audit channels (module force + env) so the test means
-        # the same thing inside and outside the REPRO_AUDIT=1 CI job.
+        # Pin the audit default so the test means the same thing inside
+        # and outside the REPRO_AUDIT=1 CI job.
         monkeypatch.setenv("REPRO_AUDIT", "1" if audited else "0")
-        set_audit_default(audited)
-        try:
-            runner = SweepRunner(workers=1, trace_path=trace)
-            runner.run(spec or ExperimentSpec(
-                "scalability", params={"sizes": [40], "rounds": 1}, seeds="0..1"
-            ))
-        finally:
-            set_audit_default(False)
+        runner = SweepRunner(workers=1, trace_path=trace)
+        runner.run(spec or ExperimentSpec(
+            "scalability", params={"sizes": [40], "rounds": 1}, seeds="0..1"
+        ))
         return trace
 
     def test_cli_prints_conservation_and_drop_tables(self, tmp_path, monkeypatch, capsys):

@@ -31,7 +31,6 @@ from repro.exceptions import ConfigurationError, ShardWorkerError
 from repro.experiments.scalability import make_xl_workload
 from repro.obs.ledger import DatumState, PacketLedger
 from repro.obs.merge import merge_collectors, merge_ledgers
-from repro.runner.spec import cache_key
 from repro.shard import ShardPlan, ShardWorkload, conservative_lookahead, run_sharded, runner
 from repro.shard.runner import _validate
 from repro.sim.mobility import FeasiblePlaces, GatewaySchedule
@@ -39,7 +38,6 @@ from repro.sim.network import uniform_deployment
 from repro.sim.packet import MAC_HEADER_BYTES, Packet, PacketKind
 from repro.sim.radio import IEEE802154, GilbertElliott
 from repro.sim.trace import MetricsCollector
-from repro.world import WorldConfig
 
 
 def _data_packet(origin: int, data_id: int) -> Packet:
@@ -63,7 +61,7 @@ def _workload(
         gateway_positions=gateways,
         comm_range=comm_range,
         traffic=traffic,
-        world=WorldConfig(audit=audit),
+        audit=audit,
         radio=IEEE802154.ideal() if radio is None else radio,
         protocol=protocol,
         protocol_params={} if protocol_params is None else protocol_params,
@@ -160,14 +158,6 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="not shard-safe"):
             run_sharded(w, shards=2)
 
-    def test_rejects_fault_plans(self):
-        from repro.faults.plan import Crash, FaultPlan
-
-        w = _workload()
-        w.world = WorldConfig(faults=FaultPlan((Crash(node=0, t=1.0),)))
-        with pytest.raises(ConfigurationError, match="fault plan"):
-            run_sharded(w, shards=2)
-
     def test_rejects_contended_radio(self):
         for bad in (
             dataclasses.replace(IEEE802154.ideal(), csma=True),
@@ -201,30 +191,6 @@ class TestValidation:
         # bool is an int subclass: shards=True must not run one process.
         with pytest.raises(ConfigurationError, match="positive integer"):
             run_sharded(_workload(), shards=bad)
-
-
-# ----------------------------------------------------------------------
-# cache keys: the shard count is a run_sharded argument, not an identity
-# ----------------------------------------------------------------------
-class TestCacheKey:
-    def test_worldconfig_cache_keys_are_pinned(self):
-        """A change to the config's serialized form would silently
-        orphan every cached cell; these keys must not move."""
-        from repro.sim.serialize import to_jsonable
-
-        pinned = {
-            WorldConfig(): "657400462e692d1d",
-            WorldConfig(audit=True): "34f1764472d8fa95",
-        }
-        for cfg, prefix in pinned.items():
-            assert cache_key("e", {"world": cfg}, 0, version="t").startswith(prefix)
-            j = cache_key("e", {"world": to_jsonable(cfg)}, 0, version="t")
-            assert j.startswith(prefix)
-
-    def test_real_execution_knobs_still_separate(self):
-        base = cache_key("e", {"world": WorldConfig()}, 0, version="t")
-        other = cache_key("e", {"world": WorldConfig(audit=True)}, 0, version="t")
-        assert base != other
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Production-vs-oracle equivalence and the NodeStateStore / WorldConfig API.
+"""Production-vs-oracle equivalence and the NodeStateStore API.
 
 Batched broadcast draining and NumPy fan-out are an *execution
 strategy*, never a model change: for any scenario — lossy radio, finite
@@ -8,29 +8,24 @@ the same world on :class:`tests.oracle.ScalarChannel` (per-receiver loop,
 one event per reception), and both must pass the packet-conservation
 audit.  The hypothesis property below holds that over randomized fault
 scenarios; the unit tests pin the store's batched ``charge`` and the
-:class:`~repro.world.WorldConfig` parameter plumbing (round-trip,
-cache-key identity, unknown and removed fields, removal of bare kwargs).
+cache-key identity of a fault-plan parameter.
 """
 
 import dataclasses
 import math
-import warnings
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.base import ProtocolConfig
 from repro.core.spr import SPR
-from repro.exceptions import ConfigurationError
-from repro.experiments.common import make_grid_scenario
 from repro.faults.plan import BatteryDrain, Crash, FaultPlan, Recover
 from repro.runner.spec import cache_key
 from repro.sim.node import NodeKind
 from repro.sim.radio import IEEE802154
 from repro.sim.serialize import to_jsonable
 from repro.sim.state import NodeStateStore
-from repro.world import WorldBuilder, WorldConfig
+from repro.world import WorldBuilder
 from tests.oracle import oracle_world
 
 N_SENSORS = 14
@@ -139,75 +134,16 @@ class TestNodeStateStore:
         assert a_tx.tolist() == b_tx.tolist() == [0, 0, 0, 0]
 
 
-class TestWorldConfigAPI:
-    def test_from_param_round_trips_jsonable_form(self):
-        cfg = WorldConfig(
-            audit=True,
-            faults=FaultPlan((Crash(node=2, t=1.5),)),
-        )
-        assert WorldConfig.from_param(to_jsonable(cfg)) == cfg
-        assert WorldConfig.from_param(cfg) is cfg
-        assert WorldConfig.from_param(None) is None
-
-    def test_from_param_rejects_bare_dicts(self):
-        with pytest.raises(ConfigurationError):
-            WorldConfig.from_param({"audit": False})
-
-    @pytest.mark.parametrize(
-        "field",
-        [
-            "bogus", "audti", "soa", "vectorized", "spatial_index",
-            "shards", "checkpoint_dir", "checkpoint_every",
-        ],
-    )
-    def test_from_param_rejects_unknown_fields(self, field):
-        # A typo'd or removed field must not silently yield the default.
-        tagged = {"__dataclass__": "WorldConfig", "fields": {field: 1}}
-        with pytest.raises(ConfigurationError, match=field):
-            WorldConfig.from_param(tagged)
-        with pytest.raises(TypeError):
-            WorldConfig(**{field: 1})
-
+class TestExecutionParams:
     def test_cache_key_separates_execution_configs(self):
-        base = cache_key("e", {"world": WorldConfig()}, 0, version="t")
-        audited = cache_key(
-            "e", {"world": WorldConfig(audit=True)}, 0, version="t"
+        plan = FaultPlan((Crash(node=2, t=1.5),))
+        other = FaultPlan((Crash(node=3, t=1.5),))
+        key = cache_key("e", {"fault_plan": plan}, 0, version="t")
+        assert key == cache_key(
+            "e", {"fault_plan": to_jsonable(plan)}, 0, version="t"
         )
-        as_jsonable = cache_key(
-            "e", {"world": to_jsonable(WorldConfig())}, 0, version="t"
-        )
-        assert base != audited
-        assert base == as_jsonable
+        assert key != cache_key("e", {"fault_plan": other}, 0, version="t")
         # tuple params keep their historical list encoding
         assert cache_key("e", {"sizes": (50,)}, 0, version="t") == cache_key(
             "e", {"sizes": [50]}, 0, version="t"
         )
-
-    def test_builder_wrappers_update_config(self):
-        plan = FaultPlan((Crash(node=2, t=1.5),))
-        b = WorldBuilder().audit(True).faults(plan)
-        assert b.config == WorldConfig(audit=True, faults=plan)
-        b.configure(WorldConfig(audit=False))
-        assert b.config == WorldConfig(audit=False)
-        for removed in ("scalar_fanout", "soa", "spatial_index"):
-            assert not hasattr(b, removed)
-
-    def test_bare_kwargs_path_is_gone(self):
-        # The deprecated resolve_world_config shim was removed outright.
-        with pytest.raises(ImportError):
-            from repro.experiments.common import resolve_world_config  # noqa: F401
-
-    def test_make_scenario_rejects_bare_kwargs(self):
-        with pytest.raises(TypeError, match="audit"):
-            make_grid_scenario(2, 2, 10.0, [[0.0, 0.0]], comm_range=15.0, audit=False)
-        with pytest.raises(TypeError, match="spatial_index"):
-            make_grid_scenario(
-                2, 2, 10.0, [[0.0, 0.0]],
-                comm_range=15.0, spatial_index="bruteforce",
-            )
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            make_grid_scenario(
-                2, 2, 10.0, [[0.0, 0.0]],
-                comm_range=15.0, world=WorldConfig(audit=False),
-            )
